@@ -19,11 +19,17 @@ Since schema v2 the snapshot also times:
   ``BENCH_pipeline.json`` being overwritten, so every PR's perf delta
   is recorded in the artifact itself.
 
-Schema v3 adds a ``parallel`` section: the all-pairs grouping stages
-(AG-TR trajectory DTW, AG-TS Eq. 6 affinities) timed through the
-sharded :mod:`repro.runtime` path at 4 workers against the pre-runtime
-per-pair Python loops, with the byte-identity contract (``workers=1``
-and ``workers=4`` equal to the serial reference) asserted on every run.
+Schema v4 records the ``host`` (CPU count, numpy version, platform)
+and times the grouping stages on a ~600-account population scenario in
+two sections that keep the two causes of a speedup apart:
+
+* ``pruning`` — algorithmic gains, both sides at ``workers=1``: AG-TR
+  with LB_Kim/LB_Keogh pruning and early abandoning vs the same code
+  unpruned, and AG-TS's Gram-matrix Eq. 6 vs per-pair set arithmetic;
+* ``workers`` — parallelism alone: pruned AG-TR at ``workers=1`` vs
+  ``workers=2``, the same code on the :mod:`repro.runtime` pool.
+
+Every run asserts that each pair of outputs is identical.
 
 This seeds the bench trajectory: successive PRs re-run the script and
 diff the stage timings, so a perf regression (or win) in grouping,
@@ -38,6 +44,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import pathlib
 import platform
 import sys
@@ -53,7 +60,7 @@ if _SRC not in sys.path:
     sys.path.insert(0, _SRC)
 
 #: Snapshot schema tag; bump when the JSON layout changes.
-SCHEMA = "repro.bench/pipeline.v3"
+SCHEMA = "repro.bench/pipeline.v4"
 
 #: The fig6 cell this snapshot times (mid-grid: both populations active).
 LEGIT_ACTIVENESS = 0.5
@@ -188,41 +195,66 @@ def time_engine_kernels(iterations: int = 25) -> Dict[str, Any]:
     }
 
 
-#: Account subsets for the all-pairs parallel grouping comparison —
-#: large enough that sharding/pruning matter, small enough that the
-#: unpruned per-pair serial reference stays benchable.
-PARALLEL_AGTR_ACCOUNTS = 150
-PARALLEL_AGTS_ACCOUNTS = 600
-PARALLEL_WORKERS = 4
+#: Population-scale scenario for the grouping sections: ~400 legitimate
+#: users and 40 attackers x 5 accounts (alternating Attack-I/II) over 100
+#: tasks — ~600 accounts and ~28k claims.
+POPULATION_SEED = 1
+POPULATION_LEGIT = 400
+POPULATION_ATTACKERS = 40
+POPULATION_TASKS = 100
+
+#: Accounts in the pruned-vs-unpruned AG-TR comparison: small enough that
+#: the unpruned matrix stays benchable.
+PRUNING_AGTR_ACCOUNTS = 40
+
+#: Worker count compared against ``workers=1`` in the ``workers`` section.
+WORKERS = 2
+
+#: AG-TR's edge threshold phi: edges are scores strictly below it.
+AGTR_THRESHOLD = 1.0
 
 
-def _serial_agtr_reference(dataset, accounts, timestamp_scale=3600.0):
-    """The pre-runtime AG-TR stage: a per-pair ``dtw_distance`` loop."""
+def _make_population_scenario():
+    """The ~600-account campaign the grouping sections time."""
     import numpy as np
 
-    from repro.timeseries.dtw import dtw_distance
+    from repro.simulation.attackers import AttackerConfig, ConstantFabrication
+    from repro.simulation.scenario import ScenarioConfig, build_scenario
+    from repro.simulation.users import UserConfig
 
-    trajectories = [
-        (xs, ys / timestamp_scale)
-        for xs, ys in (dataset.trajectory(a) for a in accounts)
-    ]
-    n = len(accounts)
-    matrix = np.zeros((n, n))
-    for i in range(n):
-        for j in range(i + 1, n):
-            (xi, yi), (xj, yj) = trajectories[i], trajectories[j]
-            if len(xi) == 0 or len(xj) == 0:
-                score = np.nan
-            else:
-                score = dtw_distance(xi, xj, normalized=False) + dtw_distance(
-                    yi, yj, normalized=False
-                )
-            matrix[i, j] = matrix[j, i] = score
-    return matrix
+    rng = np.random.default_rng([POPULATION_SEED, 7])
+    legit = tuple(
+        UserConfig(
+            activeness=float(rng.uniform(0.3, 0.6)),
+            noise_std=float(rng.uniform(1.0, 3.0)),
+            bias=float(rng.normal(0.0, 0.5)),
+        )
+        for _ in range(POPULATION_LEGIT)
+    )
+    attackers = tuple(
+        (
+            AttackerConfig(
+                n_accounts=5,
+                activeness=0.5,
+                fabrication=ConstantFabrication(
+                    target=float(rng.uniform(-55.0, -45.0))
+                ),
+            ),
+            1 if index % 2 == 0 else 2,
+        )
+        for index in range(POPULATION_ATTACKERS)
+    )
+    config = ScenarioConfig(
+        n_tasks=POPULATION_TASKS,
+        legit_users=legit,
+        attackers=attackers,
+        start_window=8 * 3600.0,
+    )
+    return build_scenario(config, rng).dataset
 
 
 def _serial_agts_reference(dataset, accounts):
-    """The pre-runtime AG-TS stage: per-pair Python set arithmetic."""
+    """Eq. 6 with per-pair Python set arithmetic."""
     import numpy as np
 
     m = len(dataset.tasks)
@@ -239,94 +271,112 @@ def _serial_agts_reference(dataset, accounts):
     return affinity
 
 
-def time_parallel_grouping() -> Dict[str, Any]:
-    """Serial-reference vs. sharded all-pairs grouping, plus the
-    byte-identity assertion of the runtime determinism contract."""
+def _components(accounts, matrix):
+    from repro.graph.threshold import graph_from_dissimilarity
+
+    graph = graph_from_dissimilarity(list(accounts), matrix, AGTR_THRESHOLD)
+    return set(graph.connected_components())
+
+
+def _timed(fn):
+    t0 = time.perf_counter()
+    result = fn()
+    return result, time.perf_counter() - t0
+
+
+def time_pruning(dataset) -> Dict[str, Any]:
+    """Algorithmic gains at ``workers=1``: AG-TR bounds pruning, AG-TS Gram.
+
+    AG-TR runs the same code with pruning off and on; the entries below
+    phi must be equal and the threshold-graph components identical.
+    AG-TS's Gram-matrix Eq. 6 must equal the per-pair set arithmetic
+    exactly.
+    """
     import numpy as np
 
     from repro.core.grouping.taskset import taskset_affinity_matrix
     from repro.core.grouping.trajectory import trajectory_dissimilarity_matrix
-    from repro.graph.threshold import graph_from_dissimilarity
     from repro.runtime import runtime_session
 
-    dataset, _ = _make_large_scenario()
-    agtr_accounts = dataset.accounts[:PARALLEL_AGTR_ACCOUNTS]
-    agts_accounts = dataset.accounts[:PARALLEL_AGTS_ACCOUNTS]
-    threshold = 1.0  # the paper's phi: edges are scores strictly below it
-
-    # --- AG-TR: Eq. 8 DTW dissimilarities -----------------------------
-    t0 = time.perf_counter()
-    agtr_reference = _serial_agtr_reference(dataset, agtr_accounts)
-    agtr_serial_s = time.perf_counter() - t0
-
-    # Byte-identity is asserted on a sub-block of the pair space:
-    # pairwise scores are independent, so the serial reference's leading
-    # submatrix is the serial answer for the account subset, and running
-    # the full unpruned matrix twice more would triple the bench's cost.
-    ident_accounts = agtr_accounts[: len(agtr_accounts) // 2]
-    ident_reference = agtr_reference[: len(ident_accounts), : len(ident_accounts)]
+    agtr_accounts = dataset.accounts[:PRUNING_AGTR_ACCOUNTS]
     with runtime_session(workers=1):
-        _, agtr_w1 = trajectory_dissimilarity_matrix(
-            dataset, accounts=ident_accounts
+        (_, unpruned), unpruned_s = _timed(
+            lambda: trajectory_dissimilarity_matrix(dataset, accounts=agtr_accounts)
         )
-    with runtime_session(workers=PARALLEL_WORKERS):
-        _, agtr_w4 = trajectory_dissimilarity_matrix(
-            dataset, accounts=ident_accounts
+        (_, pruned), pruned_s = _timed(
+            lambda: trajectory_dissimilarity_matrix(
+                dataset, accounts=agtr_accounts, prune_threshold=AGTR_THRESHOLD
+            )
         )
-        # The production AG-TR stage at 4 workers: LB_Kim/LB_Keogh
-        # pruning + early-abandoning DTW at the grouping threshold.
-        t0 = time.perf_counter()
-        _, agtr_pruned = trajectory_dissimilarity_matrix(
-            dataset, accounts=agtr_accounts, prune_threshold=threshold
-        )
-        agtr_sharded_s = time.perf_counter() - t0
-
-    # Determinism contract: unpruned sharded output is byte-identical
-    # to the serial per-pair loop at any worker count; pruning replaces
-    # >= threshold scores with inf but must keep the threshold graph
-    # (edges are strict < threshold) — and therefore the grouping.
-    identical = bool(
-        np.array_equal(ident_reference, agtr_w1, equal_nan=True)
-        and np.array_equal(ident_reference, agtr_w4, equal_nan=True)
-        and set(
-            graph_from_dissimilarity(
-                agtr_accounts, agtr_reference, threshold
-            ).connected_components()
-        )
-        == set(
-            graph_from_dissimilarity(
-                agtr_accounts, agtr_pruned, threshold
-            ).connected_components()
-        )
+    below = unpruned < AGTR_THRESHOLD
+    agtr_identical = bool(
+        np.array_equal(unpruned[below], pruned[below])
+        and _components(agtr_accounts, unpruned)
+        == _components(agtr_accounts, pruned)
     )
 
-    # --- AG-TS: Eq. 6 task-set affinities -----------------------------
-    t0 = time.perf_counter()
-    agts_reference = _serial_agts_reference(dataset, agts_accounts)
-    agts_serial_s = time.perf_counter() - t0
-
-    with runtime_session(workers=PARALLEL_WORKERS):
-        t0 = time.perf_counter()
-        _, agts_sharded = taskset_affinity_matrix(dataset, accounts=agts_accounts)
-        agts_sharded_s = time.perf_counter() - t0
-    identical = identical and bool(np.array_equal(agts_reference, agts_sharded))
+    reference, reference_s = _timed(
+        lambda: _serial_agts_reference(dataset, dataset.accounts)
+    )
+    (_, gram), gram_s = _timed(lambda: taskset_affinity_matrix(dataset))
 
     def ratio(old, new):
         return round(old / new, 2) if new > 0 else None
 
     return {
-        "workers": PARALLEL_WORKERS,
+        "workers": 1,
         "agtr_accounts": len(agtr_accounts),
-        "agtr_pairs": len(agtr_accounts) * (len(agtr_accounts) - 1) // 2,
-        "agtr_serial_s": round(agtr_serial_s, 4),
-        "agtr_sharded_s": round(agtr_sharded_s, 4),
-        "agtr_speedup": ratio(agtr_serial_s, agtr_sharded_s),
-        "agts_accounts": len(agts_accounts),
-        "agts_pairs": len(agts_accounts) * (len(agts_accounts) - 1) // 2,
-        "agts_serial_s": round(agts_serial_s, 4),
-        "agts_sharded_s": round(agts_sharded_s, 4),
-        "agts_speedup": ratio(agts_serial_s, agts_sharded_s),
-        "identical": identical,
+        "agtr_unpruned_s": round(unpruned_s, 4),
+        "agtr_pruned_s": round(pruned_s, 4),
+        "agtr_speedup": ratio(unpruned_s, pruned_s),
+        "agtr_identical": agtr_identical,
+        "agts_accounts": len(dataset.accounts),
+        "agts_per_pair_s": round(reference_s, 4),
+        "agts_gram_s": round(gram_s, 4),
+        "agts_speedup": ratio(reference_s, gram_s),
+        "agts_identical": bool(np.array_equal(reference, gram)),
+    }
+
+
+def time_workers(dataset) -> Dict[str, Any]:
+    """Pruned AG-TR at ``workers=1`` vs ``workers=WORKERS``, same code.
+
+    The parallel timing includes starting the process pool; the two
+    matrices must be byte-identical.
+    """
+    import numpy as np
+
+    from repro.core.grouping.trajectory import trajectory_dissimilarity_matrix
+    from repro.runtime import runtime_session
+
+    matrices, seconds = {}, {}
+    for workers in (1, WORKERS):
+        with runtime_session(workers=workers):
+            (_, matrices[workers]), seconds[workers] = _timed(
+                lambda: trajectory_dissimilarity_matrix(
+                    dataset, prune_threshold=AGTR_THRESHOLD
+                )
+            )
+    return {
+        "workers": WORKERS,
+        "agtr_accounts": len(dataset.accounts),
+        "agtr_w1_s": round(seconds[1], 4),
+        f"agtr_w{WORKERS}_s": round(seconds[WORKERS], 4),
+        "agtr_speedup": round(seconds[1] / seconds[WORKERS], 2),
+        "identical": bool(
+            np.array_equal(matrices[1], matrices[WORKERS], equal_nan=True)
+        ),
+    }
+
+
+def host_info() -> Dict[str, Any]:
+    """The machine a snapshot was taken on; timings compare only within one."""
+    import numpy as np
+
+    return {
+        "cpu_count": os.cpu_count(),
+        "numpy": np.__version__,
+        "platform": platform.platform(),
     }
 
 
@@ -386,10 +436,12 @@ def build_snapshot(trials: int, seed: int) -> Dict[str, Any]:
             if event.name.endswith(".iteration"):
                 iteration_counts[event.name] = iteration_counts.get(event.name, 0) + 1
 
+    population = _make_population_scenario()
     return {
         "schema": SCHEMA,
         "created_at": time.time(),
         "python": platform.python_version(),
+        "host": host_info(),
         "config": {
             "legit_activeness": LEGIT_ACTIVENESS,
             "sybil_activeness": SYBIL_ACTIVENESS,
@@ -411,7 +463,8 @@ def build_snapshot(trials: int, seed: int) -> Dict[str, Any]:
         "gauges": snapshot["gauges"],
         "large_scenario": time_large_scenario(),
         "engine_kernels": time_engine_kernels(),
-        "parallel": time_parallel_grouping(),
+        "pruning": time_pruning(population),
+        "workers": time_workers(population),
     }
 
 
@@ -450,13 +503,26 @@ def main(argv=None) -> int:
     if speedup:
         print("speedup vs previous snapshot: "
               + ", ".join(f"{k} {v:.2f}x" for k, v in speedup.items()))
-    par = document["parallel"]
-    print(f"parallel grouping ({par['workers']} workers, "
-          f"identical={par['identical']}): "
-          f"AG-TR {par['agtr_serial_s']:.2f}s -> {par['agtr_sharded_s']:.2f}s "
-          f"({par['agtr_speedup']}x), "
-          f"AG-TS {par['agts_serial_s']:.2f}s -> {par['agts_sharded_s']:.2f}s "
-          f"({par['agts_speedup']}x)")
+    pruning = document["pruning"]
+    print(f"pruning (workers=1): "
+          f"AG-TR unpruned {pruning['agtr_unpruned_s']:.2f}s -> pruned "
+          f"{pruning['agtr_pruned_s']:.2f}s ({pruning['agtr_speedup']}x, "
+          f"identical={pruning['agtr_identical']}), "
+          f"AG-TS per-pair {pruning['agts_per_pair_s']:.2f}s -> Gram "
+          f"{pruning['agts_gram_s']:.3f}s ({pruning['agts_speedup']}x, "
+          f"identical={pruning['agts_identical']})")
+    workers = document["workers"]
+    print(f"workers (pruned AG-TR, {workers['agtr_accounts']} accounts): "
+          f"w=1 {workers['agtr_w1_s']:.2f}s -> "
+          f"w={WORKERS} {workers[f'agtr_w{WORKERS}_s']:.2f}s "
+          f"({workers['agtr_speedup']}x, identical={workers['identical']})")
+    identical = (
+        pruning["agtr_identical"], pruning["agts_identical"], workers["identical"]
+    )
+    if not all(identical):
+        print("error: a grouping comparison produced different outputs",
+              file=sys.stderr)
+        return 1
     return 0
 
 

@@ -105,12 +105,21 @@ def test_bench_streaming_engine(benchmark):
 
 
 def test_bench_pruned_dtw_matrix(benchmark):
-    """Threshold-pruned pairwise DTW over 40 trajectories of length 50."""
-    from repro.timeseries.bounds import pruned_dtw_matrix
+    """Threshold-pruned pairwise DTW over 40 trajectories of length 50.
+
+    Runs AG-TR's scoring path; the one-point zero timestamp series add
+    nothing, so each score is the task series' raw DTW cost.
+    """
+    from repro.runtime.pairwise import sharded_trajectory_dissimilarity
 
     rng = np.random.default_rng(8)
     # Half the series share one template (below threshold), half are far.
     template = rng.normal(size=50)
     series = [template + rng.normal(0, 0.05, size=50) for _ in range(20)]
     series += [template + rng.normal(40, 5, size=50) for _ in range(20)]
-    benchmark(lambda: pruned_dtw_matrix(series, threshold=10.0, window=5))
+    trajectories = [(s, np.zeros(1)) for s in series]
+    benchmark(
+        lambda: sharded_trajectory_dissimilarity(
+            trajectories, window=5, prune_threshold=10.0
+        )
+    )

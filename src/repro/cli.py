@@ -23,8 +23,8 @@ Observability flags (any experiment, including ``all``):
 Runtime flags:
 
 * ``--workers N`` installs a :mod:`repro.runtime` shard executor for the
-  whole invocation: pairwise grouping stages and the framework's
-  convergence loop run sharded over ``N`` worker processes.  Results are
+  whole invocation: AG-TR's pairwise DTW scoring runs sharded over ``N``
+  worker processes; every other stage runs inline.  Results are
   byte-identical to ``--workers 1`` (the default) by the runtime's
   determinism contract.
 """
@@ -154,7 +154,7 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=1,
         metavar="N",
-        help="shard the pairwise grouping stages and the convergence loop "
+        help="shard AG-TR's pairwise DTW scoring "
         "over N worker processes (default 1: serial inline; results are "
         "byte-identical for any N)",
     )

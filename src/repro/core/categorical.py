@@ -196,7 +196,7 @@ class CategoricalTruthDiscovery:
         return votes
 
     def _source_of(self, account: AccountId) -> str:
-        if self._grouping is not None and account in self._grouping.accounts:
+        if self._grouping is not None and account in self._grouping:
             return f"g{self._grouping.group_index_of(account)}"
         return str(account)
 

@@ -19,11 +19,7 @@ Layer map:
   as ``np.bincount`` segment-sums;
 * :mod:`repro.core.engine.loop` — :func:`run_convergence_loop`
   (the shared, :mod:`repro.obs`-instrumented fixed point) and
-  :class:`ConvergencePolicy`;
-* :mod:`repro.core.engine.partition` — pluggable loop backends:
-  :class:`InlineLoopKernels` (the default in-process kernels) and
-  :class:`PartitionedLoopKernels` (row/column-sharded execution on the
-  :mod:`repro.runtime` executor, byte-identical to inline).
+  :class:`ConvergencePolicy`.
 """
 
 from repro.core.engine.kernels import (
@@ -40,20 +36,12 @@ from repro.core.engine.loop import (
     run_convergence_loop,
 )
 from repro.core.engine.matrix import ClaimMatrix, GroupedClaims, compact_by_groups
-from repro.core.engine.partition import (
-    InlineLoopKernels,
-    LoopKernels,
-    PartitionedLoopKernels,
-)
 
 __all__ = [
     "ClaimMatrix",
     "ConvergencePolicy",
     "EngineResult",
     "GroupedClaims",
-    "InlineLoopKernels",
-    "LoopKernels",
-    "PartitionedLoopKernels",
     "WeightFunction",
     "column_spreads",
     "compact_by_groups",

@@ -26,6 +26,9 @@ import numpy as np
 
 from repro._nputil import EPS
 
+#: Smallest positive normal float64; weight mass below it is subnormal.
+_TINY = np.finfo(float).tiny
+
 
 def segment_weighted_truths(
     values: np.ndarray,
@@ -50,11 +53,34 @@ def segment_weighted_truths(
         total weight (or no claims at all) keep this value — the claims
         gave no usable signal this round.
     """
-    weighted = np.bincount(col_idx, weights=claim_weights * values, minlength=n_cols)
     mass = np.bincount(col_idx, weights=claim_weights, minlength=n_cols)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        estimates = weighted / mass
+    try:
+        with np.errstate(invalid="ignore", divide="ignore", under="raise"):
+            weighted = np.bincount(
+                col_idx, weights=claim_weights * values, minlength=n_cols
+            )
+            estimates = weighted / mass
+    except FloatingPointError:
+        estimates = _means_after_underflow(values, col_idx, claim_weights, mass)
     return np.where(mass > 0, estimates, previous)
+
+
+def _means_after_underflow(values, col_idx, claim_weights, mass):
+    """Per-column weighted means after an underflow in the plain quotient.
+
+    A rounded subnormal ``weight * value`` product can put the mean of a
+    column whose whole weight mass is subnormal outside its claims' range.
+    Those columns are recomputed with their weights scaled by a power of
+    two, which is exact and leaves the mean unchanged; every other column
+    gets exactly the plain quotient.
+    """
+    scale = np.where(mass < _TINY, 2.0**1000, 1.0)[col_idx]
+    scaled = claim_weights * scale
+    n_cols = len(mass)
+    with np.errstate(invalid="ignore", divide="ignore", under="ignore"):
+        return np.bincount(
+            col_idx, weights=scaled * values, minlength=n_cols
+        ) / np.bincount(col_idx, weights=scaled, minlength=n_cols)
 
 
 def segment_row_distances(

@@ -21,12 +21,16 @@ attributes) is emitted from here so all callers report identically.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, List, Tuple
 
 import numpy as np
 
+from repro.core.engine.kernels import (
+    segment_row_distances,
+    segment_weighted_medians,
+    segment_weighted_truths,
+)
 from repro.core.engine.matrix import ClaimMatrix
-from repro.core.engine.partition import InlineLoopKernels, LoopKernels
 from repro.errors import ConvergenceError
 from repro.obs import get_metrics, get_tracer, weight_entropy
 
@@ -103,7 +107,6 @@ def run_convergence_loop(
     span=None,
     record_history: bool = True,
     error_subject: str = "truth discovery",
-    kernels: Optional[LoopKernels] = None,
 ) -> EngineResult:
     """Iterate weight and truth estimation over the claim matrix.
 
@@ -138,16 +141,14 @@ def run_convergence_loop(
     error_subject:
         Subject of the strict-mode error message ("truth discovery did
         not converge …" / "framework did not converge …").
-    kernels:
-        Execution backend for the two per-iteration kernels.  ``None``
-        (default) computes inline;
-        :class:`~repro.core.engine.partition.PartitionedLoopKernels`
-        shards the distance step over row ranges and the truth step over
-        column ranges on a :class:`~repro.runtime.ShardExecutor` — with
-        byte-identical results (see :mod:`repro.core.engine.partition`).
     """
-    if kernels is None:
-        kernels = InlineLoopKernels(matrix, normalize=normalize)
+    values, row_idx, col_idx = matrix.values, matrix.row_idx, matrix.col_idx
+    spreads = matrix.spreads if normalize else None
+    update = (
+        segment_weighted_truths
+        if truth_estimator == "mean"
+        else segment_weighted_medians
+    )
     answered = matrix.answered_cols
     any_answered = bool(answered.any())
     truths = np.asarray(initial_truths, dtype=float).copy()
@@ -158,13 +159,13 @@ def run_convergence_loop(
     iterations = 0
     weights = np.ones(matrix.n_rows)
     for iterations in range(1, convergence.max_iterations + 1):
-        distances = kernels.row_distances(truths)
+        distances = segment_row_distances(
+            values, row_idx, col_idx, truths, matrix.n_rows, spreads
+        )
         weights = weight_function(distances)
-        claim_weights = weights[matrix.row_idx]
-        if truth_estimator == "mean":
-            new_truths = kernels.weighted_truths(claim_weights, truths)
-        else:
-            new_truths = kernels.weighted_medians(claim_weights, truths)
+        new_truths = update(
+            values, col_idx, weights[row_idx], matrix.n_cols, truths
+        )
         delta = (
             float(np.max(np.abs(new_truths[answered] - truths[answered])))
             if any_answered

@@ -190,18 +190,6 @@ class ClaimMatrix:
             )
         return self._col_order, self._col_indptr
 
-    def csc_view(self) -> Tuple[np.ndarray, np.ndarray]:
-        """Public column-major view: ``(order, indptr)``.
-
-        ``order`` permutes the claim arrays into column-major order
-        (stable, so within a column claims stay in row order — the same
-        relative order the canonical row-major layout visits them in)
-        and ``indptr[j]:indptr[j+1]`` bounds column ``j``'s claims.  The
-        task-partitioned runtime (:mod:`repro.core.engine.partition`)
-        slices this view into contiguous column shards.
-        """
-        return self._column_slices()
-
     # ------------------------------------------------------------------
     # Column statistics (iteration-0 truths)
     # ------------------------------------------------------------------

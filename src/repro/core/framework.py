@@ -51,11 +51,9 @@ from repro.core.truth_discovery import (
     WeightFunction,
     crh_log_weights,
 )
-from repro.core.engine.partition import PartitionedLoopKernels
 from repro.core.types import Grouping, TaskId
 from repro.errors import DataValidationError
 from repro.obs import get_tracer
-from repro.runtime.executor import ShardExecutor, get_runtime
 
 #: A group-aggregation strategy maps the values one group submitted for
 #: one task to a single representative value.
@@ -161,15 +159,6 @@ class SybilResistantTruthDiscovery:
         the paper's evaluation.
     convergence:
         Stopping policy for the weight/truth loop.
-    runtime:
-        Optional :class:`~repro.runtime.ShardExecutor`.  With a parallel
-        executor the convergence loop runs on
-        :class:`~repro.core.engine.partition.PartitionedLoopKernels` —
-        the task-partitioned mode, whose truths and weights are
-        byte-identical to the serial path for any worker count.
-        Defaults to the process-global runtime (serial inline unless a
-        :func:`~repro.runtime.runtime_session` or the CLI's
-        ``--workers`` installed a parallel one).
     """
 
     def __init__(
@@ -178,7 +167,6 @@ class SybilResistantTruthDiscovery:
         aggregation: object = "inverse_deviation",
         weight_function: WeightFunction = crh_log_weights,
         convergence: ConvergencePolicy = ConvergencePolicy(max_iterations=100),
-        runtime: Optional[ShardExecutor] = None,
     ):
         if callable(aggregation):
             self._aggregate: GroupAggregation = aggregation  # type: ignore[assignment]
@@ -193,7 +181,6 @@ class SybilResistantTruthDiscovery:
         self._grouper = grouper
         self._weight_function = weight_function
         self._convergence = convergence
-        self._runtime = runtime
 
     # ------------------------------------------------------------------
 
@@ -270,12 +257,6 @@ class SybilResistantTruthDiscovery:
         answered = gm.answered_cols
         n_answered = int(answered.sum())
 
-        runtime = self._runtime if self._runtime is not None else get_runtime()
-        kernels = (
-            PartitionedLoopKernels(gm, runtime=runtime, normalize=True)
-            if runtime.parallel
-            else None
-        )
         tracer = get_tracer()
         with tracer.span(
             "framework.iterate", groups=gm.n_rows, tasks=n_answered
@@ -293,7 +274,6 @@ class SybilResistantTruthDiscovery:
                 metrics_prefix="framework",
                 span=span,
                 error_subject="framework",
-                kernels=kernels,
             )
 
         truth_map = {

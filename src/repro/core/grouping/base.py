@@ -54,8 +54,7 @@ class AccountGrouper(abc.ABC):
         become singleton groups — the conservative choice: an unscored
         account is treated as an independent user.
         """
-        covered = grouping.accounts
-        extra = [[account] for account in dataset.accounts if account not in covered]
+        extra = [[account] for account in dataset.accounts if account not in grouping]
         if not extra:
             return grouping
         return Grouping.from_groups([set(g) for g in grouping.groups] + extra)

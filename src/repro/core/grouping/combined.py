@@ -28,25 +28,6 @@ from repro.core.grouping.base import AccountGrouper
 from repro.core.types import AccountId, Grouping
 from repro.graph.components import UndirectedGraph
 from repro.obs import get_tracer
-from repro.runtime.executor import ShardExecutor, get_runtime, set_runtime
-
-
-def _run_constituent(payload) -> Grouping:
-    """Worker: run one constituent grouper and complete its partition.
-
-    Inside a pool worker the inherited process-global runtime may point
-    at the parent's (unusable, fork-copied) pool, so the constituent is
-    pinned to a serial inline executor — each constituent is already one
-    whole shard of the combined stage.
-    """
-    grouper, dataset, fingerprints = payload
-    previous = set_runtime(ShardExecutor(workers=1))
-    try:
-        return AccountGrouper.complete(
-            grouper.group(dataset, fingerprints), dataset
-        )
-    finally:
-        set_runtime(previous)
 
 
 class CombinedGrouper(AccountGrouper):
@@ -59,19 +40,12 @@ class CombinedGrouper(AccountGrouper):
         AG-FP + AG-TR, covering both attack types).
     mode:
         ``"union"`` (default) or ``"intersection"`` — see module docs.
-    runtime:
-        Optional :class:`~repro.runtime.ShardExecutor`.  With a parallel
-        executor the constituents run concurrently (one shard each, in
-        pool workers); the partitions come back in constituent order, so
-        the combination — and therefore the grouping — is identical to
-        the serial run.  Defaults to the process-global runtime.
     """
 
     def __init__(
         self,
         groupers: Sequence[AccountGrouper],
         mode: str = "union",
-        runtime: Optional[ShardExecutor] = None,
     ):
         if not groupers:
             raise ValueError("CombinedGrouper needs at least one constituent")
@@ -79,7 +53,6 @@ class CombinedGrouper(AccountGrouper):
             raise ValueError(f"mode must be 'union' or 'intersection', got {mode!r}")
         self.groupers = tuple(groupers)
         self.mode = mode
-        self.runtime = runtime
 
     def group(
         self,
@@ -93,17 +66,15 @@ class CombinedGrouper(AccountGrouper):
         AG-FP's fingerprint matching — and the partitions are merged
         under the union or intersection semantics.
         """
-        runtime = self.runtime if self.runtime is not None else get_runtime()
         with get_tracer().span(
             "grouping.combined",
             mode=self.mode,
             constituents=len(self.groupers),
         ) as span:
-            partitions = runtime.map(
-                _run_constituent,
-                [(grouper, dataset, fingerprints) for grouper in self.groupers],
-                label="grouping.constituent",
-            )
+            partitions = [
+                AccountGrouper.complete(grouper.group(dataset, fingerprints), dataset)
+                for grouper in self.groupers
+            ]
             if self.mode == "union":
                 grouping = _union(partitions)
             else:
@@ -133,7 +104,7 @@ def _intersection(partitions: Sequence[Grouping]) -> Grouping:
     blocks: Dict[Tuple[int, ...], List[AccountId]] = {}
     for account in sorted(accounts):
         signature = tuple(
-            partition.group_index_of(account) if account in partition.accounts else -1
+            partition.group_index_of(account) if account in partition else -1
             for partition in partitions
         )
         blocks.setdefault(signature, []).append(account)

@@ -38,23 +38,20 @@ from repro.core.grouping.base import AccountGrouper
 from repro.core.types import AccountId, Grouping
 from repro.graph.threshold import graph_from_affinity, groups_from_components
 from repro.obs import get_metrics, get_tracer
-from repro.runtime.executor import ShardExecutor
-from repro.runtime.pairwise import sharded_taskset_affinity
 
 
 def taskset_affinity_matrix(
     dataset: SensingDataset,
     accounts: Optional[Sequence[AccountId]] = None,
-    runtime: Optional[ShardExecutor] = None,
 ) -> Tuple[Tuple[AccountId, ...], np.ndarray]:
     """Pairwise Eq. 6 affinities over the dataset's accounts.
 
-    The pair space is scored by the sharded runtime
-    (:func:`repro.runtime.pairwise.sharded_taskset_affinity`): task sets
-    become packed bitsets, ``T_ij`` a popcount over ``AND``-ed bit rows,
-    and all arithmetic stays integer until the final division by ``m`` —
-    so the scores are bit-identical to the per-pair set arithmetic for
-    any worker count.
+    With ``M`` the 0/1 accounts x tasks membership matrix, the Gram
+    matrix ``M @ M.T`` holds every ``T_ij`` at once (its diagonal the
+    task-set sizes ``|T_i|``), and ``L_ij = |T_i| + |T_j| - 2 T_ij``.
+    The counts are integers far below 2**53, so the float64 products
+    are exact and the scores equal the per-pair set arithmetic bit for
+    bit.
 
     Returns the account order used and the symmetric affinity matrix
     (diagonal zero; self-affinity is never used).
@@ -67,12 +64,16 @@ def taskset_affinity_matrix(
         raise ValueError("dataset has no tasks; affinity is undefined")
     task_index = {task: k for k, task in enumerate(dataset.tasks)}
     n = len(order)
-    membership = np.zeros((n, m), dtype=bool)
+    membership = np.zeros((n, m))
     for i, account in enumerate(order):
         for task in dataset.task_set(account):
-            membership[i, task_index[task]] = True
+            membership[i, task_index[task]] = 1.0
     get_metrics().counter("agts.pairs_scored").inc(n * (n - 1) // 2)
-    affinity = sharded_taskset_affinity(membership, m, runtime=runtime)
+    together = membership @ membership.T
+    sizes = together.diagonal()
+    alone = sizes[:, np.newaxis] + sizes[np.newaxis, :] - 2.0 * together
+    affinity = (together - 2.0 * alone) * (together + alone) / m
+    np.fill_diagonal(affinity, 0.0)
     return order, affinity
 
 
@@ -85,18 +86,10 @@ class TaskSetGrouper(AccountGrouper):
         The edge threshold ``rho``; higher values demand more task-set
         overlap before two accounts are linked (Section IV-C remarks).
         Default 1.0, the value used in the paper's walkthrough.
-    runtime:
-        Optional :class:`~repro.runtime.ShardExecutor` for the pairwise
-        stage; defaults to the process-global runtime (serial inline
-        unless a :func:`~repro.runtime.runtime_session` or the CLI's
-        ``--workers`` installed a parallel one).
     """
 
-    def __init__(
-        self, threshold: float = 1.0, runtime: Optional[ShardExecutor] = None
-    ):
+    def __init__(self, threshold: float = 1.0):
         self.threshold = threshold
-        self.runtime = runtime
 
     def group(
         self,
@@ -112,9 +105,7 @@ class TaskSetGrouper(AccountGrouper):
         with get_tracer().span(
             "grouping.ag_ts", accounts=len(dataset.accounts)
         ) as span:
-            order, affinity = taskset_affinity_matrix(
-                dataset, runtime=self.runtime
-            )
+            order, affinity = taskset_affinity_matrix(dataset)
             graph = graph_from_affinity(list(order), affinity, self.threshold)
             grouping = groups_from_components(graph)
             span.set("groups", len(grouping))

@@ -34,7 +34,6 @@ from repro.core.grouping.base import AccountGrouper
 from repro.core.types import AccountId, Grouping
 from repro.graph.threshold import graph_from_dissimilarity, groups_from_components
 from repro.obs import get_metrics, get_tracer
-from repro.runtime.executor import ShardExecutor
 from repro.runtime.pairwise import sharded_trajectory_dissimilarity
 
 #: Seconds per hour — the default timestamp rescaling.
@@ -48,15 +47,15 @@ def trajectory_dissimilarity_matrix(
     normalized: bool = False,
     window: Optional[int] = None,
     prune_threshold: Optional[float] = None,
-    runtime: Optional[ShardExecutor] = None,
 ) -> Tuple[Tuple[AccountId, ...], np.ndarray]:
     """Pairwise Eq. 8 dissimilarities over the dataset's accounts.
 
     The pair space is scored by the sharded runtime
-    (:func:`repro.runtime.pairwise.sharded_trajectory_dissimilarity`):
-    each shard owns a contiguous pair range, reuses the
-    :mod:`repro.timeseries.bounds` lower bounds when ``prune_threshold``
-    is given, and the merged matrix is identical for any worker count.
+    (:func:`repro.runtime.pairwise.sharded_trajectory_dissimilarity`) on
+    the process-global executor: each shard owns a contiguous pair
+    range, reuses the :mod:`repro.timeseries.bounds` lower bounds when
+    ``prune_threshold`` is given, and the merged matrix is identical for
+    any worker count.
 
     Parameters
     ----------
@@ -77,8 +76,6 @@ def trajectory_dissimilarity_matrix(
         only) pairs provably at or above it are recorded as ``inf``
         without running the full dynamic program — the strict ``< phi``
         threshold graph is unchanged.
-    runtime:
-        Shard executor; defaults to the process-global runtime.
 
     Returns
     -------
@@ -106,7 +103,6 @@ def trajectory_dissimilarity_matrix(
         window=window,
         normalized=normalized,
         prune_threshold=prune_threshold,
-        runtime=runtime,
     )
     return order, matrix
 
@@ -130,9 +126,6 @@ class TrajectoryGrouper(AccountGrouper):
         Let the runtime skip pairs whose :mod:`repro.timeseries.bounds`
         lower bound already reaches ``threshold`` (raw cost form only;
         the resulting grouping is provably unchanged).  Default on.
-    runtime:
-        Optional :class:`~repro.runtime.ShardExecutor`; defaults to the
-        process-global runtime.
     """
 
     def __init__(
@@ -142,14 +135,12 @@ class TrajectoryGrouper(AccountGrouper):
         normalized: bool = False,
         window: Optional[int] = None,
         prune: bool = True,
-        runtime: Optional[ShardExecutor] = None,
     ):
         self.threshold = threshold
         self.timestamp_scale = timestamp_scale
         self.normalized = normalized
         self.window = window
         self.prune = prune
-        self.runtime = runtime
 
     def group(
         self,
@@ -172,7 +163,6 @@ class TrajectoryGrouper(AccountGrouper):
                 normalized=self.normalized,
                 window=self.window,
                 prune_threshold=self.threshold if self.prune else None,
-                runtime=self.runtime,
             )
             graph = graph_from_dissimilarity(list(order), matrix, self.threshold)
             grouping = groups_from_components(graph)

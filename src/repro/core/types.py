@@ -164,6 +164,10 @@ class Grouping:
     def __len__(self) -> int:
         return len(self.groups)
 
+    def __contains__(self, account_id: object) -> bool:
+        """Whether ``account_id`` is covered (O(1), unlike ``accounts``)."""
+        return account_id in self._index
+
     def __iter__(self) -> Iterator[FrozenSet[AccountId]]:
         return iter(self.groups)
 

@@ -1,50 +1,44 @@
-"""``repro.runtime`` — the sharded parallel runtime.
+"""``repro.runtime`` — the sharded runtime for AG-TR grouping.
 
-The ROADMAP's north star is a service absorbing millions of accounts;
-at that scale the all-pairs grouping stages (AG-TS Eq. 6, AG-TR
-Eqs. 7-8) and the claim-matrix convergence loop are the wall-clock.
-This package makes those stages *shardable* without making them
-*nondeterministic*:
+AG-TR's Eqs. 7-8 score every account pair with an interpreted DTW
+dynamic program, so at population scale it is the grouping stage that
+dominates the wall-clock — and the one stage a process pool speeds up
+(1.4-1.65x at two workers on 600 accounts, measured on a 2-core machine).  Everything else runs as
+whole-array numpy in the calling process.  This package makes the AG-TR
+pair space *shardable* without making it *nondeterministic*:
 
 * :mod:`repro.runtime.sharding` — pure index arithmetic that chunks the
-  upper-triangular pair space (and contiguous row/column spans) into
-  balanced work units with an exact, vectorized ``k -> (i, j)`` unrank;
+  upper-triangular pair space into balanced work units with an exact,
+  vectorized ``k -> (i, j)`` unrank;
 * :mod:`repro.runtime.executor` — :class:`ShardExecutor`, which runs
   shard functions inline (``workers=1``, the default) or on a lazy
   persistent process pool, always returning results in shard order and
   falling back to inline execution where pools are unavailable;
-* :mod:`repro.runtime.pairwise` — the AG-TS / AG-TR shard workers:
-  bitset-vectorized Eq. 6 blocks, and Eq. 8 DTW blocks that reuse the
-  :mod:`repro.timeseries.bounds` lower bounds per shard;
-* :mod:`repro.core.engine.partition` (in the engine layer) — the
-  task-partitioned kernels that let the shared convergence loop compute
-  its distance step over row shards and its truth step over column
-  shards.
+* :mod:`repro.runtime.pairwise` — the AG-TR shard worker: Eq. 8 DTW
+  blocks that reuse the :mod:`repro.timeseries.bounds` lower bounds per
+  shard and ship their DTW telemetry back to the parent.
 
-**Determinism contract.** Every sharded surface produces byte-identical
-groupings and truths for ``workers=1`` and ``workers=K``, equal to the
-serial implementation: shards partition the index space, each unit is
-computed with the serial arithmetic (or an exact integer-preserving
-vectorization of it), and merges happen in shard order.  Lower-bound
-pruning only ever replaces scores that provably cannot form a threshold
-edge.  ``tests/runtime/`` pins the contract.
+**Determinism contract.** AG-TR produces byte-identical matrices,
+groupings and ``dtw.*`` telemetry for ``workers=1`` and ``workers=K``:
+shards partition the pair space, each pair is computed with the serial
+arithmetic, and merges happen in shard order.  Lower-bound pruning only
+ever replaces scores that provably cannot form a threshold edge.
+``tests/runtime/`` pins the contract.
 
 Quickstart::
 
     from repro.runtime import runtime_session
 
-    with runtime_session(workers=4):
+    with runtime_session(workers=2):
         grouping = TrajectoryGrouper().group(dataset)   # sharded AG-TR
-        result = SybilResistantTruthDiscovery().discover(dataset,
-                                                         grouping=grouping)
 
-or, from the command line, ``python -m repro.cli fig6 --workers 4``.
+or, from the command line, ``python -m repro.cli fig6 --workers 2``.
 """
 
 from __future__ import annotations
 
 from contextlib import contextmanager
-from typing import Iterator, Optional
+from typing import Iterator
 
 from repro.runtime.executor import (
     ShardExecutor,
@@ -53,8 +47,6 @@ from repro.runtime.executor import (
 )
 from repro.runtime.pairwise import (
     PairwiseStats,
-    pack_task_membership,
-    sharded_taskset_affinity,
     sharded_trajectory_dissimilarity,
 )
 from repro.runtime.sharding import (
@@ -62,7 +54,6 @@ from repro.runtime.sharding import (
     pair_count,
     pair_index_to_ij,
     pair_shards,
-    span_shards,
 )
 
 __all__ = [
@@ -70,22 +61,17 @@ __all__ = [
     "ShardExecutor",
     "default_shard_count",
     "get_runtime",
-    "pack_task_membership",
     "pair_count",
     "pair_index_to_ij",
     "pair_shards",
     "runtime_session",
     "set_runtime",
-    "sharded_taskset_affinity",
     "sharded_trajectory_dissimilarity",
-    "span_shards",
 ]
 
 
 @contextmanager
-def runtime_session(
-    workers: int = 1, shard_factor: int = 4
-) -> Iterator[ShardExecutor]:
+def runtime_session(workers: int = 1) -> Iterator[ShardExecutor]:
     """Install a :class:`ShardExecutor` for the duration of a ``with`` block.
 
     The previous global runtime is restored (and this session's pool
@@ -94,12 +80,9 @@ def runtime_session(
     Parameters
     ----------
     workers:
-        Parallel worker count; ``1`` gives the inline serial executor
-        (useful to scope shard-count defaults without parallelism).
-    shard_factor:
-        Shards per worker for auto-sized decompositions.
+        Parallel worker count; ``1`` gives the inline serial executor.
     """
-    executor = ShardExecutor(workers=workers, shard_factor=shard_factor)
+    executor = ShardExecutor(workers=workers)
     previous = set_runtime(executor)
     try:
         yield executor

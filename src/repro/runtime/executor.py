@@ -1,8 +1,8 @@
 """The shard executor: serial-inline or process-pool shard dispatch.
 
-:class:`ShardExecutor` is the one object the parallel surfaces
-(:mod:`repro.runtime.pairwise`, :mod:`repro.core.engine.partition`)
-talk to.  Its contract is deliberately narrow:
+:class:`ShardExecutor` is the one object AG-TR's pair sharding
+(:mod:`repro.runtime.pairwise`) talks to.  Its contract is deliberately
+narrow:
 
 * ``map(fn, payloads)`` applies a **module-level** function to every
   payload and returns the results *in payload order* — never in
@@ -11,8 +11,7 @@ talk to.  Its contract is deliberately narrow:
 * ``workers <= 1`` (or a single payload) executes inline in the calling
   process: zero IPC, zero pickling, and the exact code path a pool
   worker would run;
-* pool construction is lazy, reused across ``map`` calls (the
-  partitioned convergence loop calls ``map`` twice per iteration), and
+* pool construction is lazy, reused across ``map`` calls, and
   falls back to inline execution — with a ``runtime.pool_fallbacks``
   counter — in environments where process pools are unavailable
   (restricted sandboxes, missing ``/dev/shm`` semaphores).  The results
@@ -48,10 +47,6 @@ class ShardExecutor:
         Degree of parallelism.  ``0`` or ``1`` means inline serial
         execution (the default runtime); ``N > 1`` lazily creates a
         process pool of ``N`` workers on first use.
-    shard_factor:
-        Shards per worker when a caller asks the executor to size a
-        decomposition (see :meth:`shard_count`); over-decomposition
-        smooths out unevenly sized shards.
 
     Notes
     -----
@@ -61,13 +56,10 @@ class ShardExecutor:
     ``get_runtime()`` without configuration.
     """
 
-    def __init__(self, workers: int = 1, shard_factor: int = 4):
+    def __init__(self, workers: int = 1):
         if workers < 0:
             raise ValueError(f"workers must be non-negative, got {workers}")
-        if shard_factor < 1:
-            raise ValueError(f"shard_factor must be >= 1, got {shard_factor}")
         self.workers = int(workers)
-        self.shard_factor = int(shard_factor)
         self._pool = None
         self._pool_broken = False
 
@@ -77,15 +69,6 @@ class ShardExecutor:
     def parallel(self) -> bool:
         """Whether this executor would try to use more than one process."""
         return self.workers > 1 and not self._pool_broken
-
-    def shard_count(self, n_units: int, min_per_shard: int = 1) -> int:
-        """Recommended shard count for ``n_units`` of work on this executor."""
-        from repro.runtime.sharding import default_shard_count
-
-        if self.workers <= 1:
-            return 1
-        shards = default_shard_count(n_units, self.workers, min_per_shard)
-        return min(shards, max(1, self.shard_factor * self.workers))
 
     # ------------------------------------------------------------------
 

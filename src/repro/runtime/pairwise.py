@@ -1,9 +1,9 @@
-"""Sharded all-pairs kernels for the account-grouping stages.
+"""Sharded all-pairs DTW scoring for AG-TR account grouping.
 
-AG-TS (Eq. 6 task-set affinity) and AG-TR (Eqs. 7-8 DTW dissimilarity)
-both score the upper-triangular pair space of the account population —
-the O(n^2) wall that dominates grouping once populations leave paper
-scale.  This module chunks that pair space into shards
+AG-TR (Eqs. 7-8 DTW dissimilarity) scores the upper-triangular pair
+space of the account population, and each pair runs a quadratic
+dynamic program in the interpreter — the one grouping stage a process
+pool speeds up.  This module chunks that pair space into shards
 (:mod:`repro.runtime.sharding`), computes each shard's block with a
 **module-level worker function** (so shards can run on a process pool),
 and merges the blocks back into the full symmetric matrix in shard
@@ -12,24 +12,20 @@ order.
 Determinism contract: for a given input, every entry of the merged
 matrix is computed by exactly one shard with exactly the serial
 arithmetic, so the result is identical for any worker count — the
-worker layer changes *where* a pair is scored, never *how*.
+worker layer changes *where* a pair is scored, never *how*.  The DTW
+telemetry (``dtw.calls``, ``dtw.abandoned``, the ``dtw.cells``
+histogram) is tallied per shard and recorded by the parent, so it is
+identical for any worker count too.
 
-Two per-shard accelerations (both preserving grouping results exactly):
-
-* **AG-TS blocks** are computed on packed task-membership bitsets: the
-  Eq. 6 ``T_ij`` intersection count becomes a popcount over ``AND``-ed
-  bit rows, vectorized across the whole shard.  All quantities are
-  integers until the final division by ``m``, so the scores are
-  bit-identical to the per-pair set arithmetic.
-* **AG-TR shards** reuse the :mod:`repro.timeseries.bounds` lower
-  bounds: when the caller supplies the AG-TR edge threshold ``phi``, a
-  pair whose bound already reaches ``phi`` is recorded as ``inf``
-  (definitely not an edge in the strict ``< phi`` graph) without
-  running the quadratic DTW dynamic program; after the task-series DTW,
-  a partial sum already at ``phi`` short-circuits the timestamp-series
-  DTW the same way.  Both cuts only ever replace values that could not
-  have produced an edge, so the thresholded graph — and therefore the
-  grouping — is identical to the full computation.
+The shards reuse the :mod:`repro.timeseries.bounds` lower bounds: when
+the caller supplies the AG-TR edge threshold ``phi``, a pair whose
+bound already reaches ``phi`` is recorded as ``inf`` (definitely not an
+edge in the strict ``< phi`` graph) without running the quadratic DTW
+dynamic program; after the task-series DTW, a partial sum already at
+``phi`` short-circuits the timestamp-series DTW the same way.  Both
+cuts only ever replace values that could not have produced an edge, so
+the thresholded graph — and therefore the grouping — is identical to
+the full computation.
 """
 
 from __future__ import annotations
@@ -39,19 +35,14 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.obs import get_metrics
-from repro.runtime.executor import ShardExecutor, get_runtime
-from repro.runtime.sharding import pair_count, pair_index_to_ij, pair_shards
-
-if hasattr(np, "bitwise_count"):  # numpy >= 2.0
-    _popcount = np.bitwise_count
-else:  # pragma: no cover - exercised only on old numpy
-    _POPCOUNT_TABLE = np.array(
-        [bin(byte).count("1") for byte in range(256)], dtype=np.uint8
-    )
-
-    def _popcount(a: np.ndarray) -> np.ndarray:
-        return _POPCOUNT_TABLE[a]
+from repro.obs import MetricsRegistry, get_metrics, set_metrics
+from repro.runtime.executor import get_runtime
+from repro.runtime.sharding import (
+    default_shard_count,
+    pair_count,
+    pair_index_to_ij,
+    pair_shards,
+)
 
 
 @dataclass(frozen=True)
@@ -78,137 +69,75 @@ class PairwiseStats:
         return self.computed + self.pruned + self.shortcut
 
 
-# ----------------------------------------------------------------------
-# AG-TS: Eq. 6 affinity blocks over packed task bitsets
-# ----------------------------------------------------------------------
+def _dissimilarity_shard(payload):
+    """Worker: Eq. 8 scores for one pair range, bounds-pruned at ``phi``.
 
-
-def pack_task_membership(membership: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """Pack a boolean accounts x tasks membership matrix into bitsets.
-
-    Returns the packed ``uint8`` bit rows and the per-account task-set
-    sizes ``|T_i|`` (as ``int64``), the two inputs of
-    :func:`sharded_taskset_affinity`.
+    Returns the block, the pair dispositions, and the shard's DTW
+    telemetry: the ``dtw.calls`` and ``dtw.abandoned`` counts and the
+    ``dtw.cells`` observations in call order.  The DTW kernels record
+    into a scratch registry here, so the parent records each tally once
+    whether the shard ran inline or in a pool worker.
     """
-    membership = np.ascontiguousarray(membership, dtype=bool)
-    if membership.ndim != 2:
-        raise ValueError(
-            f"membership must be 2-D (accounts x tasks), got shape {membership.shape}"
-        )
-    bits = np.packbits(membership, axis=1)
-    sizes = membership.sum(axis=1).astype(np.int64)
-    return bits, sizes
-
-
-def _affinity_shard(payload) -> np.ndarray:
-    """Worker: Eq. 6 affinities for one contiguous pair-index range."""
-    lo, hi, n, bits, sizes, m = payload
-    if hi <= lo:
-        return np.empty(0)
-    i, j = pair_index_to_ij(np.arange(lo, hi, dtype=np.int64), n)
-    together = _popcount(bits[i] & bits[j]).sum(axis=1, dtype=np.int64)
-    alone = sizes[i] + sizes[j] - 2 * together
-    return (together - 2 * alone) * (together + alone) / m
-
-
-def sharded_taskset_affinity(
-    membership: np.ndarray,
-    m: int,
-    runtime: Optional[ShardExecutor] = None,
-    n_shards: Optional[int] = None,
-) -> np.ndarray:
-    """The full symmetric Eq. 6 affinity matrix, computed in shards.
-
-    Parameters
-    ----------
-    membership:
-        Boolean accounts x tasks matrix (``membership[i, j]`` iff account
-        ``i`` accomplished task ``j``), in the caller's account order.
-    m:
-        Total number of tasks (the Eq. 6 denominator) — may exceed
-        ``membership.shape[1]`` only if trailing tasks are all-false.
-    runtime:
-        Shard executor; defaults to the process-global runtime.
-    n_shards:
-        Explicit shard count (defaults to the executor's recommendation;
-        1 for a serial runtime).
-    """
-    if m <= 0:
-        raise ValueError("m must be positive; affinity is undefined without tasks")
-    runtime = runtime if runtime is not None else get_runtime()
-    bits, sizes = pack_task_membership(membership)
-    n = len(bits)
-    total = pair_count(n)
-    if n_shards is None:
-        n_shards = runtime.shard_count(total, min_per_shard=512)
-    payloads = [
-        (lo, hi, n, bits, sizes, int(m)) for lo, hi in pair_shards(n, n_shards)
-    ]
-    blocks = runtime.map(_affinity_shard, payloads, label="agts.affinity_shard")
-    values = np.concatenate(blocks) if blocks else np.empty(0)
-    matrix = np.zeros((n, n))
-    if total:
-        i, j = pair_index_to_ij(np.arange(total, dtype=np.int64), n)
-        matrix[i, j] = values
-        matrix[j, i] = values
-    return matrix
-
-
-# ----------------------------------------------------------------------
-# AG-TR: Eq. 8 dissimilarity blocks with per-shard bounds pruning
-# ----------------------------------------------------------------------
-
-
-def _dissimilarity_shard(payload) -> Tuple[np.ndarray, int, int, int]:
-    """Worker: Eq. 8 scores for one pair range, bounds-pruned at ``phi``."""
     from repro.timeseries.bounds import pair_lower_bound
     from repro.timeseries.dtw import dtw_cost, dtw_distance
 
     lo, hi, n, xs, ys, window, normalized, threshold = payload
     out = np.empty(hi - lo)
     computed = pruned = shortcut = 0
-    if hi <= lo:
-        return out, computed, pruned, shortcut
+    cells: List[int] = []
+    scratch = MetricsRegistry()
+
+    def cost(a, b, budget=None):
+        cells.append(len(a) * len(b))
+        return dtw_cost(a, b, window=window, abandon=budget)
+
     i_arr, j_arr = pair_index_to_ij(np.arange(lo, hi, dtype=np.int64), n)
     prune = threshold is not None and not normalized
-    for t in range(hi - lo):
-        a, b = int(i_arr[t]), int(j_arr[t])
-        xa, xb = xs[a], xs[b]
-        if len(xa) == 0 or len(xb) == 0:
-            out[t] = np.nan
-            continue
-        ya, yb = ys[a], ys[b]
-        if prune:
-            bound = pair_lower_bound(xa, xb, window) + pair_lower_bound(
-                ya, yb, window
-            )
-            if bound >= threshold:
-                out[t] = np.inf
-                pruned += 1
+    previous = set_metrics(scratch)
+    try:
+        for t in range(hi - lo):
+            a, b = int(i_arr[t]), int(j_arr[t])
+            xa, xb = xs[a], xs[b]
+            if len(xa) == 0 or len(xb) == 0:
+                out[t] = np.nan
                 continue
-            partial = dtw_cost(xa, xb, window=window, abandon=threshold)
-            if partial >= threshold:
-                out[t] = np.inf
-                shortcut += 1
-                continue
-            # The timestamp term may early-abandon at the *remaining*
-            # budget: a total >= phi can never form a < phi edge.
-            second = dtw_cost(ya, yb, window=window, abandon=threshold - partial)
-            if np.isinf(second):
-                out[t] = np.inf
-                shortcut += 1
-                continue
-            out[t] = partial + second
-        elif not normalized:
-            out[t] = dtw_cost(xa, xb, window=window) + dtw_cost(
-                ya, yb, window=window
-            )
-        else:
-            out[t] = dtw_distance(
-                xa, xb, window=window, normalized=True
-            ) + dtw_distance(ya, yb, window=window, normalized=True)
-        computed += 1
-    return out, computed, pruned, shortcut
+            ya, yb = ys[a], ys[b]
+            if prune:
+                bound = pair_lower_bound(xa, xb, window) + pair_lower_bound(
+                    ya, yb, window
+                )
+                if bound >= threshold:
+                    out[t] = np.inf
+                    pruned += 1
+                    continue
+                partial = cost(xa, xb, threshold)
+                if partial >= threshold:
+                    out[t] = np.inf
+                    shortcut += 1
+                    continue
+                # The timestamp term may early-abandon at the *remaining*
+                # budget: a total >= phi can never form a < phi edge.
+                second = cost(ya, yb, threshold - partial)
+                if np.isinf(second):
+                    out[t] = np.inf
+                    shortcut += 1
+                    continue
+                out[t] = partial + second
+            elif not normalized:
+                out[t] = cost(xa, xb) + cost(ya, yb)
+            else:
+                cells.extend((len(xa) * len(xb), len(ya) * len(yb)))
+                out[t] = dtw_distance(
+                    xa, xb, window=window, normalized=True
+                ) + dtw_distance(ya, yb, window=window, normalized=True)
+            computed += 1
+    finally:
+        set_metrics(previous)
+    tallies = (
+        scratch.counter("dtw.calls").value,
+        scratch.counter("dtw.abandoned").value,
+    )
+    return out, (computed, pruned, shortcut), tallies, cells
 
 
 def sharded_trajectory_dissimilarity(
@@ -216,10 +145,13 @@ def sharded_trajectory_dissimilarity(
     window: Optional[int] = None,
     normalized: bool = False,
     prune_threshold: Optional[float] = None,
-    runtime: Optional[ShardExecutor] = None,
-    n_shards: Optional[int] = None,
 ) -> Tuple[np.ndarray, PairwiseStats]:
     """The full symmetric Eq. 8 dissimilarity matrix, computed in shards.
+
+    The shards run on the process-global runtime
+    (:func:`~repro.runtime.get_runtime`): one inline shard by default,
+    ``4 x workers`` shards under a parallel
+    :func:`~repro.runtime.runtime_session`.
 
     Parameters
     ----------
@@ -235,9 +167,6 @@ def sharded_trajectory_dissimilarity(
         threshold are recorded as ``inf`` instead of fully computed —
         the strict ``< phi`` threshold graph, and hence the grouping, is
         unchanged.  ``None`` computes every pair exactly.
-    runtime, n_shards:
-        Shard executor (defaults to the process-global runtime) and
-        optional explicit shard count.
 
     Returns
     -------
@@ -246,13 +175,12 @@ def sharded_trajectory_dissimilarity(
         counts.  The counts also feed the ``dtw.pairs_computed`` /
         ``dtw.pairs_pruned`` / ``dtw.pairs_shortcut`` metrics.
     """
-    runtime = runtime if runtime is not None else get_runtime()
+    runtime = get_runtime()
     xs = [np.asarray(x, dtype=float) for x, _ in trajectories]
     ys = [np.asarray(y, dtype=float) for _, y in trajectories]
     n = len(xs)
     total = pair_count(n)
-    if n_shards is None:
-        n_shards = runtime.shard_count(total, min_per_shard=8)
+    n_shards = default_shard_count(total, runtime.workers, min_per_shard=8)
     payloads = [
         (lo, hi, n, xs, ys, window, normalized, prune_threshold)
         for lo, hi in pair_shards(n, n_shards)
@@ -260,19 +188,20 @@ def sharded_trajectory_dissimilarity(
     results = runtime.map(
         _dissimilarity_shard, payloads, label="agtr.dissimilarity_shard"
     )
-    blocks: List[np.ndarray] = [block for block, _, _, _ in results]
-    stats = PairwiseStats(
-        computed=sum(r[1] for r in results),
-        pruned=sum(r[2] for r in results),
-        shortcut=sum(r[3] for r in results),
-    )
-    values = np.concatenate(blocks) if blocks else np.empty(0)
+    stats = PairwiseStats(*(sum(column) for column in zip(*(r[1] for r in results))))
+    values = np.concatenate([r[0] for r in results])
     matrix = np.zeros((n, n))
     if total:
         i, j = pair_index_to_ij(np.arange(total, dtype=np.int64), n)
         matrix[i, j] = values
         matrix[j, i] = values
     metrics = get_metrics()
+    histogram = metrics.histogram("dtw.cells")
+    for _, _, (calls, abandoned), cells in results:
+        metrics.counter("dtw.calls").inc(calls)
+        metrics.counter("dtw.abandoned").inc(abandoned)
+        for observed in cells:
+            histogram.observe(observed)
     metrics.counter("dtw.pairs_computed").inc(stats.computed)
     metrics.counter("dtw.pairs_pruned").inc(stats.pruned)
     metrics.counter("dtw.pairs_shortcut").inc(stats.shortcut)

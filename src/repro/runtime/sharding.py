@@ -1,16 +1,11 @@
 """Deterministic work-unit decomposition for the shard runtime.
 
-The parallel surfaces of this library all reduce to one of two index
-spaces:
+AG-TR's Eqs. 7-8 DTW dissimilarities are scored over the
+**upper-triangular pair space** of the accounts: pair ``k`` enumerates
+``(i, j)`` with ``i < j`` in lexicographic order, ``n * (n - 1) / 2``
+pairs total.
 
-* the **upper-triangular pair space** of the all-pairs grouping stages
-  (AG-TS Eq. 6 affinities, AG-TR Eqs. 7-8 DTW dissimilarities): pair
-  ``k`` enumerates ``(i, j)`` with ``i < j`` in lexicographic order,
-  ``n * (n - 1) / 2`` pairs total;
-* **contiguous spans** of an array axis (claim-matrix rows for the
-  distance kernel, columns for the truth kernel).
-
-Both decompositions are pure index arithmetic: a shard is a half-open
+The decomposition is pure index arithmetic: a shard is a half-open
 range plus enough metadata to compute its block independently, and the
 shard list for a given ``(size, n_shards)`` is a deterministic function
 of its arguments.  Merging shard outputs back in shard order therefore
@@ -75,19 +70,6 @@ def pair_shards(n: int, n_shards: int) -> List[Tuple[int, int]]:
         raise ValueError(f"n_shards must be >= 1, got {n_shards}")
     total = pair_count(n)
     bounds = np.linspace(0, total, n_shards + 1).astype(np.int64)
-    return [(int(lo), int(hi)) for lo, hi in zip(bounds[:-1], bounds[1:])]
-
-
-def span_shards(size: int, n_shards: int) -> List[Tuple[int, int]]:
-    """Split ``range(size)`` into ``n_shards`` contiguous half-open spans.
-
-    Same balancing and empty-shard semantics as :func:`pair_shards`.
-    """
-    if n_shards < 1:
-        raise ValueError(f"n_shards must be >= 1, got {n_shards}")
-    if size < 0:
-        raise ValueError(f"size must be non-negative, got {size}")
-    bounds = np.linspace(0, size, n_shards + 1).astype(np.int64)
     return [(int(lo), int(hi)) for lo, hi in zip(bounds[:-1], bounds[1:])]
 
 

@@ -13,7 +13,8 @@ line of work) is a *lower bound* computable in linear time:
 Because both bound the *raw accumulated* DTW cost from below, a pair
 whose bound already exceeds AG-TR's threshold ``phi`` can be skipped
 without running the full dynamic program — the grouping result is
-unchanged.  :func:`pruned_dtw_matrix` packages that pattern.
+unchanged.  :func:`pair_lower_bound` packages that pattern for AG-TR's
+sharded pair scoring (:mod:`repro.runtime.pairwise`).
 """
 
 from __future__ import annotations
@@ -21,8 +22,6 @@ from __future__ import annotations
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
-
-from repro.obs import get_metrics, get_tracer
 
 
 def _as_series(values: Sequence[float], name: str) -> np.ndarray:
@@ -120,53 +119,3 @@ def pair_lower_bound(
     if window is not None and len(a) == len(b):
         bound = max(bound, lb_keogh(a, b, window))
     return bound
-
-
-def pruned_dtw_matrix(
-    series: Sequence[Sequence[float]],
-    threshold: float,
-    window: Optional[int] = None,
-) -> Tuple[np.ndarray, int, int]:
-    """Pairwise raw DTW costs with lower-bound pruning at ``threshold``.
-
-    For every pair, cheap bounds run first; if a bound already exceeds
-    ``threshold`` the entry is set to ``inf`` (definitely not an edge in
-    AG-TR's ``< threshold`` graph) without running the full DP.
-
-    Returns
-    -------
-    (matrix, computed, pruned):
-        The cost matrix (``inf`` for pruned pairs) and counters of fully
-        computed vs. pruned pairs.
-    """
-    from repro.timeseries.dtw import dtw_distance
-
-    arrays = [np.asarray(s, dtype=float) for s in series]
-    n = len(arrays)
-    with get_tracer().span(
-        "timeseries.pruned_dtw_matrix", series=n, threshold=threshold
-    ) as span:
-        matrix = np.zeros((n, n))
-        computed = 0
-        pruned = 0
-        band = window if window is not None else 0
-        for i in range(n):
-            for j in range(i + 1, n):
-                a, b = arrays[i], arrays[j]
-                bound = lb_kim(a, b)
-                if bound <= threshold and len(a) == len(b) and window is not None:
-                    bound = max(bound, lb_keogh(a, b, band))
-                if bound > threshold:
-                    matrix[i, j] = matrix[j, i] = np.inf
-                    pruned += 1
-                    continue
-                cost = dtw_distance(a, b, window=window, normalized=False)
-                matrix[i, j] = matrix[j, i] = cost
-                computed += 1
-        span.set("computed", computed).set("pruned", pruned)
-    metrics = get_metrics()
-    metrics.counter("dtw.pairs_computed").inc(computed)
-    metrics.counter("dtw.pairs_pruned").inc(pruned)
-    if computed + pruned:
-        metrics.gauge("dtw.prune_hit_rate").set(pruned / (computed + pruned))
-    return matrix, computed, pruned

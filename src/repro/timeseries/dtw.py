@@ -173,27 +173,3 @@ def dtw_cost(
         metrics.counter("dtw.abandoned").inc()
         return float("inf")
     return float(cost[len(arr_a), len(arr_b)])
-
-
-def dtw_matrix(
-    series: Sequence[Sequence[float]],
-    window: Optional[int] = None,
-) -> np.ndarray:
-    """Symmetric pairwise DTW distance matrix over a list of series.
-
-    The diagonal is zero.  Pairs where either series is empty get ``NaN``
-    (no trajectory evidence either way); AG-TR's threshold graph treats
-    ``NaN`` as "no edge".
-    """
-    count = len(series)
-    arrays = [np.asarray(s, dtype=float) for s in series]
-    matrix = np.zeros((count, count))
-    for i in range(count):
-        for j in range(i + 1, count):
-            if len(arrays[i]) == 0 or len(arrays[j]) == 0:
-                value = np.nan
-            else:
-                value = dtw_distance(arrays[i], arrays[j], window=window)
-            matrix[i, j] = value
-            matrix[j, i] = value
-    return matrix

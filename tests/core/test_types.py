@@ -98,6 +98,11 @@ class TestGroupingQueries:
         with pytest.raises(KeyError):
             grouping.group_of("zzz")
 
+    def test_membership(self, grouping):
+        assert all(account in grouping for account in "abcdef")
+        assert "zzz" not in grouping
+        assert None not in grouping
+
     def test_group_index_consistent_with_group_of(self, grouping):
         for account in grouping.accounts:
             index = grouping.group_index_of(account)

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.dataset import SensingDataset
 from repro.core.grouping.taskset import TaskSetGrouper, taskset_affinity_matrix
@@ -89,3 +91,41 @@ class TestGrouping:
         for attacker_accounts in scenario.user_partition.non_singleton_groups():
             sample = next(iter(attacker_accounts))
             assert attacker_accounts <= grouping.group_of(sample)
+
+
+@st.composite
+def _memberships(draw):
+    """A random 0/1 accounts x tasks membership with at least one task."""
+    n = draw(st.integers(min_value=0, max_value=12))
+    m = draw(st.integers(min_value=1, max_value=9))
+    flat = draw(st.lists(st.booleans(), min_size=n * m, max_size=n * m))
+    return np.array(flat, dtype=bool).reshape(n, m)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_memberships())
+def test_gram_affinity_equals_per_pair_set_arithmetic(membership):
+    # Eq. 6 from the Gram matrix must equal the per-pair set arithmetic
+    # bit for bit, including accounts with empty task sets.
+    n, m = membership.shape
+    tasks = [f"T{j}" for j in range(m)]
+    task_sets = [
+        {tasks[j] for j in np.flatnonzero(row)} for row in membership
+    ]
+    # One filler account answers every task so each task exists.
+    values = np.where(membership, 1.0, np.nan)
+    dataset = SensingDataset.from_matrix(
+        np.vstack([values, np.ones((1, m))]),
+        account_ids=[f"a{i}" for i in range(n)] + ["filler"],
+        task_ids=tasks,
+    )
+    order = [f"a{i}" for i in range(n)]
+    _, affinity = taskset_affinity_matrix(dataset, accounts=order)
+    reference = np.zeros((n, n))
+    for i in range(n):
+        for j in range(i + 1, n):
+            together = len(task_sets[i] & task_sets[j])
+            alone = len(task_sets[i] ^ task_sets[j])
+            score = (together - 2 * alone) * (together + alone) / m
+            reference[i, j] = reference[j, i] = score
+    assert np.array_equal(affinity, reference)

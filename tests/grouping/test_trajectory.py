@@ -9,6 +9,7 @@ from repro.core.grouping.trajectory import (
     trajectory_dissimilarity_matrix,
 )
 from repro.experiments.paperdata import TABLE1_ACCOUNTS, paper_example_dataset
+from repro.obs import get_metrics
 
 
 class TestDissimilarityMatrix:
@@ -59,6 +60,34 @@ class TestDissimilarityMatrix:
         assert (norm[off_diagonal] >= 0).all()
         # Eq. 7 normalization changes the values (it is not a no-op).
         assert not np.allclose(norm[off_diagonal], raw[off_diagonal])
+
+
+class TestPruning:
+    def test_pruned_entries_below_threshold_are_exact(self, paper_scenario):
+        dataset = paper_scenario.dataset
+        _, exact = trajectory_dissimilarity_matrix(dataset)
+        _, pruned = trajectory_dissimilarity_matrix(dataset, prune_threshold=1.0)
+        below = exact < 1.0
+        assert np.array_equal(pruned[below], exact[below])
+        # Every other pair is still a non-edge of the strict < phi graph.
+        assert (pruned[~below & ~np.isnan(exact)] >= 1.0).all()
+
+    def test_pruning_counters_cover_all_pairs(self, paper_scenario):
+        dataset = paper_scenario.dataset
+        metrics = get_metrics()
+        before = {
+            name: metrics.counter(f"dtw.pairs_{name}").value
+            for name in ("computed", "pruned", "shortcut")
+        }
+        _, matrix = trajectory_dissimilarity_matrix(dataset, prune_threshold=1.0)
+        counts = {
+            name: metrics.counter(f"dtw.pairs_{name}").value - value
+            for name, value in before.items()
+        }
+        n = len(dataset.accounts)
+        scored = int(np.count_nonzero(~np.isnan(matrix[np.triu_indices(n, 1)])))
+        assert sum(counts.values()) == scored
+        assert counts["pruned"] > 0
 
 
 class TestGrouping:

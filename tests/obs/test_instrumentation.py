@@ -10,7 +10,7 @@ from repro.core.truth_discovery import ConvergencePolicy, IterativeTruthDiscover
 from repro.core.types import Observation
 from repro.errors import ConvergenceError
 from repro.obs import get_metrics, tracing_session
-from repro.timeseries.bounds import pruned_dtw_matrix
+from repro.runtime.pairwise import sharded_trajectory_dissimilarity
 
 
 def _span_names(tracer):
@@ -101,17 +101,20 @@ class TestGrouperTelemetry:
 
     def test_pruned_dtw_matrix_reports_hit_rate(self):
         series = [[0.0, 0.0], [0.1, 0.1], [100.0, 100.0]]
+        trajectories = [(s, [0.0, 0.0]) for s in series]
         with tracing_session() as tracer:
-            _, computed, pruned = pruned_dtw_matrix(series, threshold=1.0)
-        assert computed == 1 and pruned == 2
+            _, stats = sharded_trajectory_dissimilarity(
+                trajectories, prune_threshold=1.0
+            )
+        assert stats.computed == 1 and stats.pruned == 2
         metrics = get_metrics()
         assert metrics.counter("dtw.pairs_computed").value == 1
         assert metrics.counter("dtw.pairs_pruned").value == 2
         assert metrics.gauge("dtw.prune_hit_rate").value == pytest.approx(2 / 3)
-        span = next(
-            r for r in tracer.spans if r.name == "timeseries.pruned_dtw_matrix"
-        )
-        assert span.attributes["pruned"] == 2
+        # The one computed pair ran both Eq. 8 DTW terms.
+        assert metrics.counter("dtw.calls").value == 2
+        span = next(r for r in tracer.spans if r.name == "runtime.map")
+        assert span.attributes["fn"] == "agtr.dissimilarity_shard"
 
 
 class TestStreamingTelemetry:

@@ -1,19 +1,17 @@
 """The runtime determinism contract: workers=1 ≡ workers=K ≡ serial.
 
-Every sharded surface — AG-TS affinities, AG-TR dissimilarities, the
-partitioned convergence loop, and the end-to-end framework — must
-produce **byte-identical** results (``np.array_equal``, not
+AG-TR is the one sharded surface; its dissimilarities, groupings and
+DTW telemetry must be **byte-identical** (``np.array_equal``, not
 ``allclose``) for any worker count, equal to the plain serial
-implementation.  These tests pin that contract on the paper's worked
-example and on a realized simulation campaign.
+implementation.  AG-TS, the framework and combined grouping run inline
+and must not change under a parallel session either.  These tests pin
+that contract on a realized simulation campaign.
 """
 
 import numpy as np
 import pytest
 
 from repro.core.dataset import SensingDataset
-from repro.core.engine import ClaimMatrix, ConvergencePolicy, run_convergence_loop
-from repro.core.engine.partition import PartitionedLoopKernels
 from repro.core.framework import SybilResistantTruthDiscovery
 from repro.core.grouping.combined import CombinedGrouper
 from repro.core.grouping.taskset import TaskSetGrouper, taskset_affinity_matrix
@@ -21,6 +19,7 @@ from repro.core.grouping.trajectory import (
     TrajectoryGrouper,
     trajectory_dissimilarity_matrix,
 )
+from repro.obs import MetricsRegistry, set_metrics
 from repro.runtime import ShardExecutor, runtime_session
 from repro.timeseries.dtw import dtw_distance
 
@@ -115,86 +114,28 @@ class TestTrajectoryDeterminism:
         off_diag = [matrix[k, c] for c in range(3) if c != k]
         assert all(np.isnan(v) for v in off_diag)
 
+    def test_dtw_telemetry_equal_across_workers(self, paper_scenario):
+        dataset = paper_scenario.dataset
 
-class TestPartitionedLoopDeterminism:
-    def _matrix(self):
-        rng = np.random.default_rng(9)
-        rows, cols, vals = [], [], []
-        for r in range(23):
-            for c in rng.choice(41, size=rng.integers(2, 17), replace=False):
-                rows.append(r)
-                cols.append(int(c))
-                vals.append(float(rng.normal(c, 2.0)))
-        return ClaimMatrix(
-            np.array(rows),
-            np.array(cols),
-            np.array(vals),
-            23,
-            45,
-            tuple(f"a{i}" for i in range(23)),
-            tuple(f"t{j}" for j in range(45)),
-        )
+        def dtw_telemetry(workers):
+            metrics = MetricsRegistry()
+            previous = set_metrics(metrics)
+            try:
+                with runtime_session(workers=workers):
+                    TrajectoryGrouper().group(dataset)
+            finally:
+                set_metrics(previous)
+            counters = {
+                name: value
+                for name, value in metrics.snapshot()["counters"].items()
+                if name.startswith("dtw.")
+            }
+            return counters, metrics.histogram("dtw.cells").count
 
-    @pytest.mark.parametrize("workers", [1, 4])
-    @pytest.mark.parametrize("estimator", ["mean", "median"])
-    def test_loop_byte_identical(self, workers, estimator):
-        matrix = self._matrix()
-
-        def weight_function(distances):
-            return np.exp(-distances / (distances.mean() + 1e-9))
-
-        policy = ConvergencePolicy(max_iterations=25, tolerance=1e-10)
-        initial = matrix.column_means()
-        reference = run_convergence_loop(
-            matrix,
-            weight_function=weight_function,
-            convergence=policy,
-            initial_truths=initial,
-            truth_estimator=estimator,
-        )
-        with runtime_session(workers=workers) as runtime:
-            kernels = PartitionedLoopKernels(matrix, runtime=runtime)
-            sharded = run_convergence_loop(
-                matrix,
-                weight_function=weight_function,
-                convergence=policy,
-                initial_truths=initial,
-                truth_estimator=estimator,
-                kernels=kernels,
-            )
-        assert np.array_equal(reference.truths, sharded.truths, equal_nan=True)
-        assert np.array_equal(reference.weights, sharded.weights)
-        assert reference.iterations == sharded.iterations
-
-    def test_more_shards_than_rows_and_cols(self):
-        matrix = ClaimMatrix(
-            np.array([0]),
-            np.array([0]),
-            np.array([42.0]),
-            1,
-            1,
-            ("a0",),
-            ("t0",),
-        )
-        policy = ConvergencePolicy(max_iterations=5, tolerance=1e-12)
-        reference = run_convergence_loop(
-            matrix,
-            weight_function=lambda d: np.ones_like(d),
-            convergence=policy,
-            initial_truths=np.array([40.0]),
-        )
-        with runtime_session(workers=4) as runtime:
-            kernels = PartitionedLoopKernels(
-                matrix, runtime=runtime, n_row_shards=3, n_col_shards=3
-            )
-            sharded = run_convergence_loop(
-                matrix,
-                weight_function=lambda d: np.ones_like(d),
-                convergence=policy,
-                initial_truths=np.array([40.0]),
-                kernels=kernels,
-            )
-        assert np.array_equal(reference.truths, sharded.truths, equal_nan=True)
+        serial = dtw_telemetry(1)
+        assert serial[0]["dtw.calls"] > 0
+        assert serial[1] == serial[0]["dtw.calls"]
+        assert dtw_telemetry(2) == serial
 
 
 class TestFrameworkDeterminism:
@@ -218,6 +159,8 @@ class TestFrameworkDeterminism:
 
 class TestCombinedDeterminism:
     def test_constituents_parallel_equal_serial(self, paper_scenario):
+        # The constituents run in turn; under workers=2 AG-TR shards its
+        # pair space on the pool.
         dataset = paper_scenario.dataset
         groupers = [TaskSetGrouper(), TrajectoryGrouper()]
         serial = CombinedGrouper(groupers, mode="union").group(dataset)

@@ -1,4 +1,4 @@
-"""Shard index arithmetic: the exact pair unrank and span chunking."""
+"""Shard index arithmetic: the exact pair unrank and pair-range chunking."""
 
 import numpy as np
 import pytest
@@ -8,7 +8,6 @@ from repro.runtime.sharding import (
     pair_count,
     pair_index_to_ij,
     pair_shards,
-    span_shards,
 )
 
 
@@ -55,16 +54,6 @@ class TestPairShards:
         sizes = [hi - lo for lo, hi in shards]
         assert sum(sizes) == 1
         assert 0 in sizes  # at least one legal empty shard
-
-
-class TestSpanShards:
-    @pytest.mark.parametrize("size,n_shards", [(0, 1), (1, 3), (10, 3), (7, 7)])
-    def test_spans_partition_the_range(self, size, n_shards):
-        spans = span_shards(size, n_shards)
-        covered = []
-        for lo, hi in spans:
-            covered.extend(range(lo, hi))
-        assert covered == list(range(size))
 
 
 class TestDefaultShardCount:

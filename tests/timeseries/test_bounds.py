@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.timeseries.bounds import envelope, lb_keogh, lb_kim, pruned_dtw_matrix
+from repro.runtime.pairwise import sharded_trajectory_dissimilarity
+from repro.timeseries.bounds import envelope, lb_keogh, lb_kim
 from repro.timeseries.dtw import dtw_distance
 
 
@@ -68,36 +69,45 @@ class TestLBKeogh:
         assert lb_keogh(series, series, window=0) == 0.0
 
 
+def _pruned_matrix(series, threshold, window=None):
+    """Raw DTW costs pruned at ``threshold`` on AG-TR's scoring path.
+
+    Each series becomes a trajectory with an all-zero timestamp series,
+    whose bound and DTW cost are zero, so the Eq. 8 score is the series'
+    raw DTW cost.
+    """
+    trajectories = [(s, np.zeros(len(s))) for s in series]
+    return sharded_trajectory_dissimilarity(
+        trajectories, window=window, prune_threshold=threshold
+    )
+
+
 class TestPrunedMatrix:
     def test_pruning_preserves_below_threshold_entries(self, rng):
         series = [rng.normal(size=8) for _ in range(6)]
         threshold = 5.0
-        matrix, computed, pruned = pruned_dtw_matrix(
-            series, threshold, window=2
-        )
+        matrix, _ = _pruned_matrix(series, threshold, window=2)
         for i in range(6):
             for j in range(i + 1, 6):
                 exact = dtw_distance(
                     series[i], series[j], window=2, normalized=False
                 )
-                if exact <= threshold:
+                if exact < threshold:
                     # Must not have been pruned, and must be exact.
-                    assert matrix[i, j] == pytest.approx(exact)
+                    assert matrix[i, j] == exact
                 else:
                     # Either computed exactly or pruned to inf — both
-                    # classify the pair as "no edge".
-                    assert matrix[i, j] > threshold
+                    # classify the pair as "no edge" of the < phi graph.
+                    assert matrix[i, j] >= threshold
 
     def test_prunes_obviously_distant_pairs(self):
         near = [np.zeros(10), np.zeros(10) + 0.01]
         far = [np.full(10, 100.0)]
-        matrix, computed, pruned = pruned_dtw_matrix(
-            near + far, threshold=1.0, window=1
-        )
-        assert pruned >= 2  # both (near, far) pairs skipped
+        matrix, stats = _pruned_matrix(near + far, threshold=1.0, window=1)
+        assert stats.pruned >= 2  # both (near, far) pairs skipped
         assert matrix[0, 2] == np.inf
 
     def test_counters_cover_all_pairs(self, rng):
         series = [rng.normal(size=5) for _ in range(5)]
-        _, computed, pruned = pruned_dtw_matrix(series, threshold=3.0, window=1)
-        assert computed + pruned == 10
+        _, stats = _pruned_matrix(series, threshold=3.0, window=1)
+        assert stats.computed + stats.pruned + stats.shortcut == 10

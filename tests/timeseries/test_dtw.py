@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.timeseries.dtw import dtw_distance, dtw_matrix, warping_path
+from repro.runtime.pairwise import sharded_trajectory_dissimilarity
+from repro.timeseries.dtw import dtw_distance, warping_path
 
 
 class TestKnownValues:
@@ -110,18 +111,25 @@ class TestWindow:
             dtw_distance([1.0], [1.0], window=-1)
 
 
+def _distance_matrix(series):
+    """Pairwise Eq. 7 distances on AG-TR's scoring path (zero timestamps)."""
+    trajectories = [(s, np.zeros(len(s))) for s in series]
+    matrix, _ = sharded_trajectory_dissimilarity(trajectories, normalized=True)
+    return matrix
+
+
 class TestMatrix:
     def test_matrix_symmetric_zero_diagonal(self, rng):
         series = [rng.normal(size=rng.integers(3, 8)) for _ in range(5)]
-        matrix = dtw_matrix(series)
+        matrix = _distance_matrix(series)
         assert np.allclose(matrix, matrix.T)
         assert np.allclose(np.diag(matrix), 0.0)
 
     def test_matrix_empty_series_nan(self):
-        matrix = dtw_matrix([[1.0, 2.0], []])
+        matrix = _distance_matrix([[1.0, 2.0], []])
         assert np.isnan(matrix[0, 1])
 
     def test_matrix_values_match_pairwise(self, rng):
         series = [rng.normal(size=5) for _ in range(3)]
-        matrix = dtw_matrix(series)
+        matrix = _distance_matrix(series)
         assert matrix[0, 2] == pytest.approx(dtw_distance(series[0], series[2]))
