@@ -17,7 +17,9 @@ Since schema v2 the snapshot also times:
   regression is attributable without re-profiling;
 * ``speedup_vs_previous`` — stage-by-stage ratios against the
   ``BENCH_pipeline.json`` being overwritten, so every PR's perf delta
-  is recorded in the artifact itself.
+  is recorded in the artifact itself.  Since schema v5 the ratios are
+  computed only when the previous snapshot's ``host`` equals this
+  run's; otherwise the section records ``"skipped": "host differs"``.
 
 Schema v4 records the ``host`` (CPU count, numpy version, platform)
 and times the grouping stages on a ~600-account population scenario in
@@ -60,18 +62,20 @@ if _SRC not in sys.path:
     sys.path.insert(0, _SRC)
 
 #: Snapshot schema tag; bump when the JSON layout changes.
-SCHEMA = "repro.bench/pipeline.v4"
+SCHEMA = "repro.bench/pipeline.v5"
 
 #: The fig6 cell this snapshot times (mid-grid: both populations active).
 LEGIT_ACTIVENESS = 0.5
 SYBIL_ACTIVENESS = 0.6
 
 #: The large synthetic scenario (fixed seeds so runs are comparable).
+#: Its categorical labels are the claims binned to ``LABEL_BIN_DBM``.
 LARGE_SEED = 77
 LARGE_ACCOUNTS = 2000
 LARGE_TASKS = 500
 LARGE_DENSITY = 0.08
 LARGE_GROUPS = 400
+LABEL_BIN_DBM = 5.0
 
 
 def _make_large_scenario():
@@ -106,7 +110,11 @@ def _make_large_scenario():
 
 
 def time_large_scenario() -> Dict[str, Any]:
-    """End-to-end timings of the three engine consumers at ~80k claims."""
+    """End-to-end timings of CRH, the framework, streaming and grouped
+    categorical truth discovery at ~80k claims."""
+    import math
+
+    from repro.core.categorical import CategoricalClaims, CategoricalTruthDiscovery
     from repro.core.crh import CRH
     from repro.core.framework import SybilResistantTruthDiscovery
     from repro.core.streaming import StreamingTruthDiscovery, replay_dataset
@@ -133,6 +141,16 @@ def time_large_scenario() -> Dict[str, Any]:
     replay_dataset(engine, observations, batch_seconds=25.0)
     streaming_s = time.perf_counter() - t0
 
+    labels = [
+        (obs.account_id, obs.task_id, math.floor(obs.value / LABEL_BIN_DBM))
+        for obs in observations
+    ]
+    t0 = time.perf_counter()
+    categorical_result = CategoricalTruthDiscovery(grouping=grouping).discover(
+        CategoricalClaims(labels)
+    )
+    categorical_s = time.perf_counter() - t0
+
     return {
         "claims": len(dataset),
         "accounts": LARGE_ACCOUNTS,
@@ -144,6 +162,8 @@ def time_large_scenario() -> Dict[str, Any]:
         "framework_iterations": framework_result.iterations,
         "streaming_s": round(streaming_s, 4),
         "streaming_batches": engine.batches_seen,
+        "categorical_s": round(categorical_s, 4),
+        "categorical_iterations": categorical_result.iterations,
     }
 
 
@@ -383,7 +403,18 @@ def host_info() -> Dict[str, Any]:
 def speedup_vs_previous(
     previous: Dict[str, Any], current: Dict[str, Any]
 ) -> Dict[str, Any]:
-    """Stage-by-stage old/new timing ratios (>1 means this run is faster)."""
+    """Stage-by-stage old/new timing ratios (>1 means this run is faster).
+
+    Timings compare only within one machine: if the two snapshots' hosts
+    differ, no ratio is computed.
+    """
+    out: Dict[str, Any] = {
+        "baseline_created_at": previous.get("created_at"),
+        "baseline_schema": previous.get("schema"),
+    }
+    if previous.get("host") != current.get("host"):
+        out["skipped"] = "host differs"
+        return out
 
     def ratio(old, new):
         if not old or not new or new <= 0:
@@ -396,17 +427,13 @@ def speedup_vs_previous(
         r = ratio(old, stage.get("total_s"))
         if r is not None:
             stages[name] = r
-    out: Dict[str, Any] = {
-        "baseline_created_at": previous.get("created_at"),
-        "baseline_schema": previous.get("schema"),
-        "wall": ratio(previous.get("wall_s"), current.get("wall_s")),
-        "stages": stages,
-    }
+    out["wall"] = ratio(previous.get("wall_s"), current.get("wall_s"))
+    out["stages"] = stages
     old_large = previous.get("large_scenario", {})
     new_large = current.get("large_scenario", {})
     large = {
         key: ratio(old_large.get(key), new_large.get(key))
-        for key in ("crh_s", "framework_s", "streaming_s")
+        for key in ("crh_s", "framework_s", "streaming_s", "categorical_s")
         if ratio(old_large.get(key), new_large.get(key)) is not None
     }
     if large:
@@ -498,8 +525,12 @@ def main(argv=None) -> int:
     large = document["large_scenario"]
     print(f"large scenario ({large['claims']} claims): "
           f"crh {large['crh_s']:.3f}s, framework {large['framework_s']:.3f}s, "
-          f"streaming {large['streaming_s']:.3f}s")
-    speedup = document.get("speedup_vs_previous", {}).get("large_scenario")
+          f"streaming {large['streaming_s']:.3f}s, "
+          f"categorical {large['categorical_s']:.3f}s")
+    speedup = document.get("speedup_vs_previous", {})
+    if "skipped" in speedup:
+        print(f"speedup vs previous snapshot: skipped ({speedup['skipped']})")
+    speedup = speedup.get("large_scenario")
     if speedup:
         print("speedup vs previous snapshot: "
               + ", ".join(f"{k} {v:.2f}x" for k, v in speedup.items()))

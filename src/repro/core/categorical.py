@@ -7,27 +7,24 @@ POI?") use 0/1 loss instead of squared deviation, and the truth update is
 a weighted **majority vote** instead of a weighted mean.  This module
 implements that branch with the same iteration protocol and the same
 Sybil-resistant grouping front-end, so the framework covers both claim
-types a real platform collects.
-
-Data model: categorical claims are ``(account, task, label)`` triples
-with hashable labels, held in :class:`CategoricalClaims` (one claim per
-account/task pair, mirroring :class:`~repro.core.dataset.SensingDataset`).
+types a real platform collects.  Claims are ``(account, task, label)``
+triples with hashable labels (one per account/task pair), compiled once
+into integer arrays so that every vote tally is one ``np.bincount``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Hashable, Iterable, List, Mapping, Optional, Tuple
+from functools import cached_property
+from typing import Collection, Dict, FrozenSet, Hashable, Iterable, List, Mapping
+from typing import Optional, Tuple
 
 import numpy as np
 
-from repro.core.truth_discovery import (
-    ConvergencePolicy,
-    WeightFunction,
-    crh_log_weights,
-)
+from repro.core.truth_discovery import ConvergencePolicy, WeightFunction, crh_log_weights
 from repro.core.types import AccountId, Grouping, TaskId
-from repro.errors import DataValidationError
+from repro.errors import ConvergenceError, DataValidationError
+from repro.obs import get_metrics, get_tracer, weight_entropy
 
 Label = Hashable
 
@@ -44,8 +41,6 @@ class CategoricalClaims:
 
     def __init__(self, claims: Iterable[Tuple[AccountId, TaskId, Label]]):
         by_pair: Dict[Tuple[AccountId, TaskId], Label] = {}
-        tasks: set = set()
-        accounts: set = set()
         for account, task, label in claims:
             key = (account, task)
             if key in by_pair:
@@ -53,11 +48,15 @@ class CategoricalClaims:
                     f"duplicate claim for account {account!r} and task {task!r}"
                 )
             by_pair[key] = label
-            tasks.add(task)
-            accounts.add(account)
         self._by_pair = by_pair
-        self._tasks: Tuple[TaskId, ...] = tuple(sorted(tasks))
-        self._accounts: Tuple[AccountId, ...] = tuple(sorted(accounts))
+        # Claim-order arrays; codes follow ``repr`` order, the vote tie-break.
+        accounts, tasks = [a for a, _ in by_pair], [t for _, t in by_pair]
+        self._tasks: Tuple[TaskId, ...] = tuple(sorted(set(tasks)))
+        self._accounts: Tuple[AccountId, ...] = tuple(sorted(set(accounts)))
+        self._labels: Tuple[Label, ...] = tuple(sorted(set(by_pair.values()), key=repr))
+        self._task_idx = _positions(self._tasks, tasks)
+        self._account_idx = _positions(self._accounts, accounts)
+        self._codes = _positions(self._labels, by_pair.values())
 
     @property
     def tasks(self) -> Tuple[TaskId, ...]:
@@ -77,18 +76,21 @@ class CategoricalClaims:
         return self._by_pair[(account, task)]
 
     def claims_for_task(self, task: TaskId) -> Dict[AccountId, Label]:
-        """All claims for one task."""
-        return {
-            account: label
-            for (account, claimed_task), label in self._by_pair.items()
-            if claimed_task == task
-        }
+        """All claims for one task, in claim order."""
+        return {a: self._by_pair[(a, task)] for a in self._index[0].get(task, ())}
 
     def task_set(self, account: AccountId) -> FrozenSet[TaskId]:
         """Tasks the account claimed."""
-        return frozenset(
-            task for (claimant, task) in self._by_pair if claimant == account
-        )
+        return frozenset(self._index[1].get(account, ()))
+
+    @cached_property
+    def _index(self) -> Tuple[Dict[TaskId, List[AccountId]], Dict[AccountId, List[TaskId]]]:
+        by_task: Dict[TaskId, List[AccountId]] = {}
+        by_account: Dict[AccountId, List[TaskId]] = {}
+        for account, task in self._by_pair:
+            by_task.setdefault(task, []).append(account)
+            by_account.setdefault(account, []).append(task)
+        return by_task, by_account
 
 
 @dataclass(frozen=True)
@@ -104,21 +106,17 @@ class CategoricalResult:
 class CategoricalTruthDiscovery:
     """CRH-style iteration for categorical claims.
 
-    Weight update: a source's distance is the (weighted count of)
-    disagreements between its labels and the current truths, through the
-    decreasing functional ``W``.  Truth update: per task, the label with
-    the largest total source weight.
+    Weight update: a source's distance is its number of disagreements with
+    the current truths, through the decreasing functional ``W``.  Truth
+    update: per task, the label with the largest total source weight, ties
+    to the label first in ``repr`` order.
 
-    Parameters
-    ----------
-    weight_function:
-        Monotonically decreasing ``W``; CRH log weights by default.
-    convergence:
-        Stops when no truth label changes, or at ``max_iterations``.
-    grouping:
-        Optional Sybil-defence partition: each group casts one vote per
-        task (its internal majority label) and carries one weight —
-        Algorithm 2 transplanted to 0/1 loss.
+    ``weight_function`` is ``W`` (CRH log weights by default).  The
+    iteration stops when no truth label changes, or at the
+    ``convergence`` budget (raising ``ConvergenceError`` if ``strict``).
+    With a ``grouping`` (the Sybil defence), each group casts one vote per
+    task, its internal plurality label (ties as above), and carries one
+    weight: Algorithm 2 transplanted to 0/1 loss.
     """
 
     def __init__(
@@ -131,87 +129,87 @@ class CategoricalTruthDiscovery:
         self._convergence = convergence
         self._grouping = grouping
 
-    # ------------------------------------------------------------------
-
     def discover(self, claims: CategoricalClaims) -> CategoricalResult:
         """Run the iteration and return the label truths."""
         if len(claims) == 0:
             raise DataValidationError("cannot run truth discovery on empty claims")
-
-        votes = self._collapse_to_sources(claims)
-        sources = sorted({source for task_votes in votes.values() for source in task_votes})
-        source_index = {source: k for k, source in enumerate(sources)}
-
-        # Initialize truths by unweighted majority.
-        truths: Dict[TaskId, Label] = {
-            task: _majority(task_votes, {s: 1.0 for s in task_votes})
-            for task, task_votes in votes.items()
-        }
-
-        converged = False
-        iterations = 0
-        weights = np.ones(len(sources))
-        for iterations in range(1, self._convergence.max_iterations + 1):
-            # Weight estimation: disagreement counts per source.
-            distances = np.zeros(len(sources))
-            for task, task_votes in votes.items():
-                for source, label in task_votes.items():
-                    if label != truths[task]:
-                        distances[source_index[source]] += 1.0
-            weights = self._weight_function(distances)
-            weight_of = {source: float(weights[source_index[source]]) for source in sources}
-            # Truth estimation: weighted majority per task.
-            new_truths = {
-                task: _majority(task_votes, weight_of)
-                for task, task_votes in votes.items()
-            }
-            if new_truths == truths:
-                converged = True
-                truths = new_truths
-                break
-            truths = new_truths
-
-        weight_map = {str(source): float(weights[source_index[source]]) for source in sources}
+        tracer = get_tracer()
+        with tracer.span("categorical.discover", claims=len(claims)) as span:
+            sources, vote_task, vote_source, vote_code = self._collapse_to_sources(claims)
+            ballot = _Ballot(vote_task, vote_code, len(claims._labels))
+            truth = ballot.winners()
+            for iterations in range(1, self._convergence.max_iterations + 1):
+                wrong = vote_code != truth[vote_task]
+                weights = self._weight_function(np.bincount(vote_source, wrong, len(sources)))
+                truth, previous = ballot.winners(weights[vote_source]), truth
+                changed = np.count_nonzero(truth != previous)
+                if tracer.enabled:
+                    tracer.event(
+                        "categorical.iteration",
+                        iteration=iterations,
+                        labels_changed=changed,
+                        weight_entropy=weight_entropy(weights),
+                    )
+                if changed == 0:
+                    break
+            converged = changed == 0
+            get_metrics().counter("categorical.runs").inc()
+            get_metrics().counter("categorical.iterations").inc(iterations)
+            failed = not converged and self._convergence.strict
+            stop = "converged" if converged else "max_iterations"
+            span.set("iterations", iterations)
+            span.set("stop_reason", "convergence_error" if failed else stop)
+            if failed:
+                raise ConvergenceError(
+                    f"categorical truth discovery did not converge in {iterations} iterations"
+                )
         return CategoricalResult(
-            truths=truths,
-            weights=weight_map,
+            truths={t: claims._labels[k] for t, k in zip(claims.tasks, truth.tolist())},
+            weights=dict(zip(sources, weights.tolist())),
             iterations=iterations,
             converged=converged,
         )
 
-    # ------------------------------------------------------------------
-
-    def _collapse_to_sources(
-        self, claims: CategoricalClaims
-    ) -> Dict[TaskId, Dict[str, Label]]:
-        """Per task: one vote per source (account, or group majority)."""
-        votes: Dict[TaskId, Dict[str, Label]] = {}
-        for task in claims.tasks:
-            per_source: Dict[str, List[Label]] = {}
-            for account, label in claims.claims_for_task(task).items():
-                per_source.setdefault(self._source_of(account), []).append(label)
-            votes[task] = {
-                source: _plurality(labels) for source, labels in per_source.items()
-            }
-        return votes
-
-    def _source_of(self, account: AccountId) -> str:
-        if self._grouping is not None and account in self._grouping:
-            return f"g{self._grouping.group_index_of(account)}"
-        return str(account)
-
-
-def _plurality(labels: List[Label]) -> Label:
-    """Most common label; ties break on label sort order (determinism)."""
-    counts: Dict[Label, int] = {}
-    for label in labels:
-        counts[label] = counts.get(label, 0) + 1
-    return min(counts, key=lambda label: (-counts[label], repr(label)))
+    def _collapse_to_sources(self, claims: CategoricalClaims):
+        """Sorted source names (``g{group}`` or ``str(account)``) and one vote
+        per (task, source): its plurality label.  Votes are ordered by task,
+        then by the source's first claim on it, so each weighted total adds
+        the same floats in the same order as a per-task loop over claims."""
+        grouping = self._grouping
+        names = [
+            f"g{grouping.group_index_of(a)}" if grouping and a in grouping else str(a)
+            for a in claims.accounts
+        ]
+        sources = sorted(set(names))
+        source_of = _positions(sources, names)
+        cell = claims._task_idx * len(sources) + source_of[claims._account_idx]
+        # Dense (task, source) cell ids keep every int64 key below n_claims**2.
+        cells, cell = np.unique(cell, return_inverse=True)
+        ballot = _Ballot(cell, claims._codes, len(claims._labels))
+        first = np.full(len(cells), len(cell))
+        np.minimum.at(first, cell, np.arange(len(cell)))
+        vote_task, vote_source = np.divmod(cells, len(sources))
+        order = np.argsort(vote_task * len(cell) + first)
+        return sources, vote_task[order], vote_source[order], ballot.winners()[order]
 
 
-def _majority(task_votes: Mapping[str, Label], weight_of: Mapping[str, float]) -> Label:
-    """Weighted majority label; ties break on label sort order."""
-    totals: Dict[Label, float] = {}
-    for source, label in task_votes.items():
-        totals[label] = totals.get(label, 0.0) + weight_of.get(source, 0.0)
-    return min(totals, key=lambda label: (-totals[label], repr(label)))
+class _Ballot:
+    """Votes ``(group, code)`` for groups numbered ``0..G-1`` without gaps.
+    :meth:`winners` picks each group's code of largest total vote weight
+    (ties to the smallest code), each total summed in vote order."""
+
+    def __init__(self, group: np.ndarray, code: np.ndarray, n_codes: int):
+        keys, self._key_of = np.unique(group * n_codes + code, return_inverse=True)
+        self._group, self._code = np.divmod(keys, n_codes)
+        self._starts = np.flatnonzero(np.r_[True, self._group[1:] != self._group[:-1]])
+
+    def winners(self, weights: Optional[np.ndarray] = None) -> np.ndarray:
+        totals = np.bincount(self._key_of, weights, minlength=len(self._code))
+        best = np.maximum.reduceat(totals, self._starts)[self._group]
+        hits = np.where(totals == best, np.arange(len(totals)), len(totals))
+        return self._code[np.minimum.reduceat(hits, self._starts)]
+
+
+def _positions(ordered: Iterable, items: Collection) -> np.ndarray:
+    index = {item: k for k, item in enumerate(ordered)}
+    return np.fromiter(map(index.__getitem__, items), np.intp, len(items))

@@ -40,6 +40,7 @@ from __future__ import annotations
 from contextlib import contextmanager
 from typing import Iterator
 
+from repro.obs import get_metrics
 from repro.runtime.executor import (
     ShardExecutor,
     get_runtime,
@@ -75,7 +76,9 @@ def runtime_session(workers: int = 1) -> Iterator[ShardExecutor]:
     """Install a :class:`ShardExecutor` for the duration of a ``with`` block.
 
     The previous global runtime is restored (and this session's pool
-    shut down) on exit, even on error, so sessions nest safely.
+    shut down) on exit, even on error, so sessions nest safely.  The
+    ``runtime.workers`` gauge is set on entry and kept after exit, so a
+    summary printed after the session reports the workers the run used.
 
     Parameters
     ----------
@@ -84,6 +87,7 @@ def runtime_session(workers: int = 1) -> Iterator[ShardExecutor]:
     """
     executor = ShardExecutor(workers=workers)
     previous = set_runtime(executor)
+    get_metrics().gauge("runtime.workers").set(workers)
     try:
         yield executor
     finally:

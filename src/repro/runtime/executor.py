@@ -183,5 +183,4 @@ def set_runtime(runtime: ShardExecutor) -> ShardExecutor:
     global _current_runtime
     previous = _current_runtime
     _current_runtime = runtime
-    get_metrics().gauge("runtime.workers").set(runtime.workers)
     return previous
