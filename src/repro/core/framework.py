@@ -285,12 +285,17 @@ class SybilResistantTruthDiscovery:
         # result contract exposes (cells visited in task-major order).
         group_values: Dict[TaskId, Dict[int, float]] = {}
         initial_group_weights: Dict[TaskId, Dict[int, float]] = {}
-        for k in np.argsort(gm.col_idx, kind="stable"):
-            tid = gm.col_labels[gm.col_idx[k]]
-            gi = int(gm.row_idx[k])
-            group_values.setdefault(tid, {})[gi] = float(gm.values[k])
-            initial_group_weights.setdefault(tid, {})[gi] = float(
-                grouped.initial_weights[k]
+        answered_cols = np.flatnonzero(answered)
+        segments = np.split(
+            np.argsort(gm.col_idx, kind="stable"),
+            np.cumsum(gm.claim_counts_by_col[answered_cols])[:-1],
+        )
+        for col, task_cells in zip(answered_cols.tolist(), segments):
+            tid = gm.col_labels[col]
+            groups = gm.row_idx[task_cells].tolist()
+            group_values[tid] = dict(zip(groups, gm.values[task_cells].tolist()))
+            initial_group_weights[tid] = dict(
+                zip(groups, grouped.initial_weights[task_cells].tolist())
             )
         return FrameworkResult(
             truths=truth_map,

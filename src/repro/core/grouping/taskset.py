@@ -102,11 +102,13 @@ class TaskSetGrouper(AccountGrouper):
         ``rho`` as edges, and returns the connected components
         (``fingerprints`` are unused by this method).
         """
-        with get_tracer().span(
-            "grouping.ag_ts", accounts=len(dataset.accounts)
-        ) as span:
-            order, affinity = taskset_affinity_matrix(dataset)
-            graph = graph_from_affinity(list(order), affinity, self.threshold)
-            grouping = groups_from_components(graph)
+        tracer = get_tracer()
+        with tracer.span("grouping.ag_ts", accounts=len(dataset.accounts)) as span:
+            with tracer.span("grouping.score"):
+                order, affinity = taskset_affinity_matrix(dataset)
+            with tracer.span("grouping.threshold_graph"):
+                graph = graph_from_affinity(list(order), affinity, self.threshold)
+            with tracer.span("grouping.components"):
+                grouping = groups_from_components(graph)
             span.set("groups", len(grouping))
             return grouping

@@ -154,17 +154,19 @@ class TrajectoryGrouper(AccountGrouper):
         pairs strictly below ``phi`` as edges, and returns the connected
         components (``fingerprints`` are unused by this method).
         """
-        with get_tracer().span(
-            "grouping.ag_tr", accounts=len(dataset.accounts)
-        ) as span:
-            order, matrix = trajectory_dissimilarity_matrix(
-                dataset,
-                timestamp_scale=self.timestamp_scale,
-                normalized=self.normalized,
-                window=self.window,
-                prune_threshold=self.threshold if self.prune else None,
-            )
-            graph = graph_from_dissimilarity(list(order), matrix, self.threshold)
-            grouping = groups_from_components(graph)
+        tracer = get_tracer()
+        with tracer.span("grouping.ag_tr", accounts=len(dataset.accounts)) as span:
+            with tracer.span("grouping.score"):
+                order, matrix = trajectory_dissimilarity_matrix(
+                    dataset,
+                    timestamp_scale=self.timestamp_scale,
+                    normalized=self.normalized,
+                    window=self.window,
+                    prune_threshold=self.threshold if self.prune else None,
+                )
+            with tracer.span("grouping.threshold_graph"):
+                graph = graph_from_dissimilarity(list(order), matrix, self.threshold)
+            with tracer.span("grouping.components"):
+                grouping = groups_from_components(graph)
             span.set("groups", len(grouping))
             return grouping

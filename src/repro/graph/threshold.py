@@ -35,6 +35,22 @@ def _validate_matrix(scores: np.ndarray, n: int) -> np.ndarray:
     return scores
 
 
+def _threshold_graph(
+    accounts: Sequence[AccountId], scores: np.ndarray, edges: np.ndarray
+) -> UndirectedGraph[AccountId]:
+    """The graph over ``accounts`` with an edge wherever ``edges[i, j]``.
+
+    Edges come from the upper triangle in row-major order (``i < j``,
+    then ``j``) and carry their score as the weight, so the graph's
+    adjacency and its insertion order are those of a per-pair loop.
+    """
+    graph: UndirectedGraph[AccountId] = UndirectedGraph(accounts)
+    rows, cols = np.nonzero(np.triu(edges, 1))
+    for i, j, score in zip(rows.tolist(), cols.tolist(), scores[rows, cols].tolist()):
+        graph.add_edge(accounts[i], accounts[j], weight=score)
+    return graph
+
+
 def graph_from_affinity(
     accounts: Sequence[AccountId], affinity: np.ndarray, threshold: float
 ) -> UndirectedGraph[AccountId]:
@@ -44,13 +60,7 @@ def graph_from_affinity(
     included".  ``NaN`` scores never produce an edge.
     """
     affinity = _validate_matrix(affinity, len(accounts))
-    graph: UndirectedGraph[AccountId] = UndirectedGraph(accounts)
-    for i in range(len(accounts)):
-        for j in range(i + 1, len(accounts)):
-            score = affinity[i, j]
-            if not np.isnan(score) and score > threshold:
-                graph.add_edge(accounts[i], accounts[j], weight=float(score))
-    return graph
+    return _threshold_graph(accounts, affinity, affinity > threshold)
 
 
 def graph_from_dissimilarity(
@@ -62,13 +72,7 @@ def graph_from_dissimilarity(
     included".  ``NaN`` scores never produce an edge.
     """
     dissimilarity = _validate_matrix(dissimilarity, len(accounts))
-    graph: UndirectedGraph[AccountId] = UndirectedGraph(accounts)
-    for i in range(len(accounts)):
-        for j in range(i + 1, len(accounts)):
-            score = dissimilarity[i, j]
-            if not np.isnan(score) and score < threshold:
-                graph.add_edge(accounts[i], accounts[j], weight=float(score))
-    return graph
+    return _threshold_graph(accounts, dissimilarity, dissimilarity < threshold)
 
 
 def groups_from_components(graph: UndirectedGraph[AccountId]) -> Grouping:

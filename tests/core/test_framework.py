@@ -105,6 +105,19 @@ class TestDataGrouping:
     def test_unattacked_task_still_honest(self, result):
         assert result.truths["T2"] == pytest.approx(-81.0, abs=5.0)
 
+    def test_cell_views_are_task_major_with_groups_in_order(self, paper_scenario):
+        dataset = paper_scenario.dataset
+        grouping = paper_scenario.user_partition
+        result = SybilResistantTruthDiscovery().discover(dataset, grouping=grouping)
+        answered = [task for task in dataset.tasks if dataset.accounts_for_task(task)]
+        assert list(result.group_values) == answered
+        for task in answered:
+            claimants = {
+                result.grouping.group_index_of(a) for a in dataset.accounts_for_task(task)
+            }
+            assert list(result.group_values[task]) == sorted(claimants)
+            assert list(result.initial_group_weights[task]) == sorted(claimants)
+
 
 class TestIteration:
     def test_singleton_grouping_close_to_plain_td(self, simple_dataset):

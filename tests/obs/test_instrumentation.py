@@ -89,6 +89,23 @@ class TestFrameworkTelemetry:
 
 
 class TestGrouperTelemetry:
+    @pytest.mark.parametrize(
+        "grouper, outer",
+        [(TaskSetGrouper(), "grouping.ag_ts"), (TrajectoryGrouper(), "grouping.ag_tr")],
+    )
+    def test_pairwise_groupers_split_score_graph_and_components(
+        self, paper_dataset, grouper, outer
+    ):
+        with tracing_session() as tracer:
+            grouper.group(paper_dataset)
+        parent = next(r for r in tracer.spans if r.name == outer)
+        steps = [r.name for r in tracer.spans if r.parent_id == parent.span_id]
+        assert steps == [
+            "grouping.score",
+            "grouping.threshold_graph",
+            "grouping.components",
+        ]
+
     def test_trajectory_grouper_counts_pairs_and_dtw_calls(self, paper_dataset):
         with tracing_session() as tracer:
             TrajectoryGrouper().group(paper_dataset)
