@@ -24,15 +24,11 @@ Since schema v2 the snapshot also times:
 
 Schema v4 records the ``host`` (CPU count, numpy version, platform)
 and times the grouping stages on a ~600-account population scenario in
-two sections that keep the two causes of a speedup apart:
-
-* ``pruning`` — algorithmic gains, both sides at ``workers=1``: AG-TR
-  with LB_Kim/LB_Keogh pruning and early abandoning vs the same code
-  unpruned, and AG-TS's Gram-matrix Eq. 6 vs per-pair set arithmetic;
-* ``workers`` — parallelism alone: pruned AG-TR at ``workers=1`` vs
-  ``workers=2``, the same code on the :mod:`repro.runtime` pool.
-
-Every run asserts that each pair of outputs is identical.
+the ``pruning`` section: AG-TR with LB_Kim/LB_Keogh pruning and early
+abandoning vs the same code unpruned, and AG-TS's Gram-matrix Eq. 6 vs
+per-pair set arithmetic.  Every run asserts that each pair of outputs
+is identical.  Schema v6 drops the ``workers`` section: every stage
+runs inline in one process.
 
 This seeds the bench trajectory: successive PRs re-run the script and
 diff the stage timings, so a perf regression (or win) in grouping,
@@ -64,7 +60,7 @@ if _SRC not in sys.path:
     sys.path.insert(0, _SRC)
 
 #: Snapshot schema tag; bump when the JSON layout changes.
-SCHEMA = "repro.bench/pipeline.v5"
+SCHEMA = "repro.bench/pipeline.v6"
 
 #: Calls per ``large_scenario`` timing; the snapshot records their median,
 #: so one slow spell of a shared machine does not set the ratio.
@@ -232,9 +228,6 @@ POPULATION_TASKS = 100
 #: the unpruned matrix stays benchable.
 PRUNING_AGTR_ACCOUNTS = 40
 
-#: Worker count compared against ``workers=1`` in the ``workers`` section.
-WORKERS = 2
-
 #: AG-TR's edge threshold phi: edges are scores strictly below it.
 AGTR_THRESHOLD = 1.0
 
@@ -319,7 +312,7 @@ def _median_timed(fn, calls: int = LARGE_REPEATS):
 
 
 def time_pruning(dataset) -> Dict[str, Any]:
-    """Algorithmic gains at ``workers=1``: AG-TR bounds pruning, AG-TS Gram.
+    """Algorithmic gains: AG-TR bounds pruning, AG-TS Gram.
 
     AG-TR runs the same code with pruning off and on; the entries below
     phi must be equal and the threshold-graph components identical.
@@ -330,18 +323,16 @@ def time_pruning(dataset) -> Dict[str, Any]:
 
     from repro.core.grouping.taskset import taskset_affinity_matrix
     from repro.core.grouping.trajectory import trajectory_dissimilarity_matrix
-    from repro.runtime import runtime_session
 
     agtr_accounts = dataset.accounts[:PRUNING_AGTR_ACCOUNTS]
-    with runtime_session(workers=1):
-        (_, unpruned), unpruned_s = _timed(
-            lambda: trajectory_dissimilarity_matrix(dataset, accounts=agtr_accounts)
+    (_, unpruned), unpruned_s = _timed(
+        lambda: trajectory_dissimilarity_matrix(dataset, accounts=agtr_accounts)
+    )
+    (_, pruned), pruned_s = _timed(
+        lambda: trajectory_dissimilarity_matrix(
+            dataset, accounts=agtr_accounts, prune_threshold=AGTR_THRESHOLD
         )
-        (_, pruned), pruned_s = _timed(
-            lambda: trajectory_dissimilarity_matrix(
-                dataset, accounts=agtr_accounts, prune_threshold=AGTR_THRESHOLD
-            )
-        )
+    )
     below = unpruned < AGTR_THRESHOLD
     agtr_identical = bool(
         np.array_equal(unpruned[below], pruned[below])
@@ -358,7 +349,6 @@ def time_pruning(dataset) -> Dict[str, Any]:
         return round(old / new, 2) if new > 0 else None
 
     return {
-        "workers": 1,
         "agtr_accounts": len(agtr_accounts),
         "agtr_unpruned_s": round(unpruned_s, 4),
         "agtr_pruned_s": round(pruned_s, 4),
@@ -369,37 +359,6 @@ def time_pruning(dataset) -> Dict[str, Any]:
         "agts_gram_s": round(gram_s, 4),
         "agts_speedup": ratio(reference_s, gram_s),
         "agts_identical": bool(np.array_equal(reference, gram)),
-    }
-
-
-def time_workers(dataset) -> Dict[str, Any]:
-    """Pruned AG-TR at ``workers=1`` vs ``workers=WORKERS``, same code.
-
-    The parallel timing includes starting the process pool; the two
-    matrices must be byte-identical.
-    """
-    import numpy as np
-
-    from repro.core.grouping.trajectory import trajectory_dissimilarity_matrix
-    from repro.runtime import runtime_session
-
-    matrices, seconds = {}, {}
-    for workers in (1, WORKERS):
-        with runtime_session(workers=workers):
-            (_, matrices[workers]), seconds[workers] = _timed(
-                lambda: trajectory_dissimilarity_matrix(
-                    dataset, prune_threshold=AGTR_THRESHOLD
-                )
-            )
-    return {
-        "workers": WORKERS,
-        "agtr_accounts": len(dataset.accounts),
-        "agtr_w1_s": round(seconds[1], 4),
-        f"agtr_w{WORKERS}_s": round(seconds[WORKERS], 4),
-        "agtr_speedup": round(seconds[1] / seconds[WORKERS], 2),
-        "identical": bool(
-            np.array_equal(matrices[1], matrices[WORKERS], equal_nan=True)
-        ),
     }
 
 
@@ -505,7 +464,6 @@ def build_snapshot(trials: int, seed: int) -> Dict[str, Any]:
         "large_scenario": time_large_scenario(),
         "engine_kernels": time_engine_kernels(),
         "pruning": time_pruning(population),
-        "workers": time_workers(population),
     }
 
 
@@ -549,22 +507,14 @@ def main(argv=None) -> int:
         print("speedup vs previous snapshot: "
               + ", ".join(f"{k} {v:.2f}x" for k, v in speedup.items()))
     pruning = document["pruning"]
-    print(f"pruning (workers=1): "
+    print(f"pruning: "
           f"AG-TR unpruned {pruning['agtr_unpruned_s']:.2f}s -> pruned "
           f"{pruning['agtr_pruned_s']:.2f}s ({pruning['agtr_speedup']}x, "
           f"identical={pruning['agtr_identical']}), "
           f"AG-TS per-pair {pruning['agts_per_pair_s']:.2f}s -> Gram "
           f"{pruning['agts_gram_s']:.3f}s ({pruning['agts_speedup']}x, "
           f"identical={pruning['agts_identical']})")
-    workers = document["workers"]
-    print(f"workers (pruned AG-TR, {workers['agtr_accounts']} accounts): "
-          f"w=1 {workers['agtr_w1_s']:.2f}s -> "
-          f"w={WORKERS} {workers[f'agtr_w{WORKERS}_s']:.2f}s "
-          f"({workers['agtr_speedup']}x, identical={workers['identical']})")
-    identical = (
-        pruning["agtr_identical"], pruning["agts_identical"], workers["identical"]
-    )
-    if not all(identical):
+    if not (pruning["agtr_identical"] and pruning["agts_identical"]):
         print("error: a grouping comparison produced different outputs",
               file=sys.stderr)
         return 1

@@ -110,7 +110,7 @@ def test_bench_pruned_dtw_matrix(benchmark):
     Runs AG-TR's scoring path; the one-point zero timestamp series add
     nothing, so each score is the task series' raw DTW cost.
     """
-    from repro.runtime.pairwise import sharded_trajectory_dissimilarity
+    from repro.core.grouping.trajectory import pairwise_trajectory_dissimilarity
 
     rng = np.random.default_rng(8)
     # Half the series share one template (below threshold), half are far.
@@ -119,7 +119,7 @@ def test_bench_pruned_dtw_matrix(benchmark):
     series += [template + rng.normal(40, 5, size=50) for _ in range(20)]
     trajectories = [(s, np.zeros(1)) for s in series]
     benchmark(
-        lambda: sharded_trajectory_dissimilarity(
+        lambda: pairwise_trajectory_dissimilarity(
             trajectories, window=5, prune_threshold=10.0
         )
     )

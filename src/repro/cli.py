@@ -19,14 +19,6 @@ Observability flags (any experiment, including ``all``):
   ``--trace``);
 * ``--profile`` prints the stage-time summary table, per-run convergence
   chart, and metrics after the experiment output (implies ``--trace``).
-
-Runtime flags:
-
-* ``--workers N`` installs a :mod:`repro.runtime` shard executor for the
-  whole invocation: AG-TR's pairwise DTW scoring runs sharded over ``N``
-  worker processes; every other stage runs inline.  Results are
-  byte-identical to ``--workers 1`` (the default) by the runtime's
-  determinism contract.
 """
 
 from __future__ import annotations
@@ -149,46 +141,30 @@ def build_parser() -> argparse.ArgumentParser:
         help="print the stage-time/metrics summary after the experiment "
         "(implies --trace)",
     )
-    parser.add_argument(
-        "--workers",
-        type=int,
-        default=1,
-        metavar="N",
-        help="shard AG-TR's pairwise DTW scoring "
-        "over N worker processes (default 1: serial inline; results are "
-        "byte-identical for any N)",
-    )
     return parser
 
 
 def main(argv: Optional[List[str]] = None) -> int:
     """Run the selected experiment(s) and print their reports."""
     args = build_parser().parse_args(argv)
-    if args.workers < 1:
-        print("error: --workers must be >= 1", file=sys.stderr)
-        return 2
     if args.experiment == "all":
         names = sorted(name for name in EXPERIMENTS if name != "report")
     else:
         names = [args.experiment]
 
-    from repro.runtime import runtime_session
-
     tracing = args.trace or args.trace_out is not None or args.profile
     if not tracing:
-        with runtime_session(workers=args.workers):
-            for name in names:
-                print(EXPERIMENTS[name](args))
-                print()
+        for name in names:
+            print(EXPERIMENTS[name](args))
+            print()
         return 0
 
     from repro.obs import get_metrics, render_summary, tracing_session
 
     with tracing_session(trace_out=args.trace_out) as tracer:
-        with runtime_session(workers=args.workers):
-            for name in names:
-                print(EXPERIMENTS[name](args))
-                print()
+        for name in names:
+            print(EXPERIMENTS[name](args))
+            print()
     if args.profile:
         print(render_summary(tracer, get_metrics()))
         print()

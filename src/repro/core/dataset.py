@@ -21,8 +21,15 @@ from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.types import AccountId, Observation, Task, TaskId
+from repro.core.types import MAX_ABS_VALUE, AccountId, Observation, Task, TaskId
 from repro.errors import DataValidationError
+
+
+def bound_violation(number: float) -> str:
+    """Why ``number`` failed the ``abs(number) <= MAX_ABS_VALUE`` check."""
+    if not math.isfinite(number):
+        return f"is not finite: {number!r}"
+    return f"exceeds the {MAX_ABS_VALUE:g} magnitude bound: {number!r}"
 
 
 class SensingDataset:
@@ -43,7 +50,9 @@ class SensingDataset:
     ------
     DataValidationError
         On duplicate ``(account, task)`` observations, unknown task ids,
-        duplicate task ids, or non-finite observation values.
+        duplicate task ids, or observation values or timestamps that are
+        not finite or exceed :data:`~repro.core.types.MAX_ABS_VALUE` in
+        magnitude.
     """
 
     def __init__(self, tasks: Iterable[Task], observations: Iterable[Observation]):
@@ -62,10 +71,15 @@ class SensingDataset:
                 raise DataValidationError(
                     f"observation references unknown task {obs.task_id!r}"
                 )
-            if not math.isfinite(obs.value):
+            if not abs(obs.value) <= MAX_ABS_VALUE:
                 raise DataValidationError(
                     f"observation value for ({obs.account_id!r}, {obs.task_id!r}) "
-                    f"is not finite: {obs.value!r}"
+                    f"{bound_violation(obs.value)}"
+                )
+            if not obs.timestamp <= MAX_ABS_VALUE:
+                raise DataValidationError(
+                    f"observation timestamp for ({obs.account_id!r}, "
+                    f"{obs.task_id!r}) {bound_violation(obs.timestamp)}"
                 )
             key = (obs.account_id, obs.task_id)
             if key in by_pair:

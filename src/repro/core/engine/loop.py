@@ -54,6 +54,12 @@ class ConvergencePolicy:
         Hard iteration budget.
     tolerance:
         Maximum absolute truth change below which the loop is converged.
+        It is in the data's units, so the stop rule depends on the data's
+        scale: claims scaled by ``c`` stop as if the tolerance were
+        ``tolerance / c``, and ``truths(3x + 7)`` can differ from
+        ``3 * truths(x) + 7`` by about the tolerance.  With
+        ``tolerance=0`` the loop runs exactly ``max_iterations`` rounds
+        and the truths are affine-equivariant.
     strict:
         If true, hitting the budget without meeting ``tolerance`` raises
         :class:`~repro.errors.ConvergenceError` instead of returning the

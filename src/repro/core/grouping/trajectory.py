@@ -25,6 +25,7 @@ Two practical knobs, both matching the paper's Fig. 4 numbers:
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
@@ -33,11 +34,169 @@ from repro.core.dataset import SensingDataset
 from repro.core.grouping.base import AccountGrouper
 from repro.core.types import AccountId, Grouping
 from repro.graph.threshold import graph_from_dissimilarity, groups_from_components
-from repro.obs import get_metrics, get_tracer
-from repro.runtime.pairwise import sharded_trajectory_dissimilarity
+from repro.obs import MetricsRegistry, get_metrics, get_tracer, set_metrics
+from repro.timeseries.bounds import lb_kim_pairs, pair_lower_bound
+from repro.timeseries.dtw import dtw_costs, dtw_distance
 
 #: Seconds per hour — the default timestamp rescaling.
 SECONDS_PER_HOUR = 3600.0
+
+
+@dataclass(frozen=True)
+class PairwiseStats:
+    """How AG-TR scoring disposed of its account pairs.
+
+    Attributes
+    ----------
+    computed:
+        Pairs whose score was fully evaluated.
+    pruned:
+        Pairs skipped by a :mod:`repro.timeseries.bounds` lower bound.
+    shortcut:
+        Pairs abandoned after the first of the two Eq. 8 DTW terms
+        already reached the threshold.
+    """
+
+    computed: int = 0
+    pruned: int = 0
+    shortcut: int = 0
+
+    @property
+    def total(self) -> int:
+        return self.computed + self.pruned + self.shortcut
+
+
+def pairwise_trajectory_dissimilarity(
+    trajectories: Sequence[Tuple[np.ndarray, np.ndarray]],
+    window: Optional[int] = None,
+    normalized: bool = False,
+    prune_threshold: Optional[float] = None,
+) -> Tuple[np.ndarray, PairwiseStats]:
+    """The full symmetric Eq. 8 dissimilarity matrix over all pairs.
+
+    The upper-triangular pairs are scored with whole-array work: LB_Kim
+    for every pair at once (re-bounded with LB_Keogh, pair by pair, only
+    for the banded pairs LB_Kim leaves below ``phi``), then one batched
+    DTW per Eq. 8 term over the pairs still standing
+    (:func:`repro.timeseries.dtw.dtw_costs`), the timestamp term
+    budgeted at what the task term leaves below ``phi``.  Both cuts only
+    ever replace values that could not have produced an edge, so the
+    strict ``< phi`` threshold graph, and hence the grouping, is that of
+    the full computation.
+
+    Parameters
+    ----------
+    trajectories:
+        Per-account ``(X_i, Y_i)`` series pairs (task indexes and
+        already-rescaled timestamps), in the caller's account order.
+        Accounts with empty series yield ``NaN`` rows/columns; an
+        account's two series must be both empty or both non-empty
+        (``ValueError`` otherwise).
+    window, normalized:
+        Forwarded to :func:`repro.timeseries.dtw.dtw_distance`.
+    prune_threshold:
+        The AG-TR edge threshold ``phi``.  When given (and the raw
+        unnormalized cost form is in use) pairs provably at or above the
+        threshold are recorded as ``inf`` instead of fully computed.
+        ``None`` computes every pair exactly.
+
+    Returns
+    -------
+    (matrix, stats):
+        The score matrix and the computed/pruned/shortcut disposition
+        counts.  The counts also feed the ``dtw.pairs_computed`` /
+        ``dtw.pairs_pruned`` / ``dtw.pairs_shortcut`` metrics; the
+        ``dtw.cells`` observations are recorded in the pair loop's call
+        order (each pair's task term, then its timestamp term).
+    """
+    xs = [np.asarray(x, dtype=float) for x, _ in trajectories]
+    ys = [np.asarray(y, dtype=float) for _, y in trajectories]
+    for k, (x, y) in enumerate(zip(xs, ys)):
+        if (len(x) == 0) != (len(y) == 0):
+            raise ValueError(
+                f"trajectory {k} has an empty task or timestamp series, not both"
+            )
+    n = len(xs)
+    i, j = np.triu_indices(n, 1)
+    sizes = np.array([len(x) for x in xs], dtype=np.int64)
+    live = (sizes[i] > 0) & (sizes[j] > 0)
+    out = np.full(len(i), np.nan)
+    pruned = shortcut = 0
+
+    def pairs(series, keep):
+        return [series[a] for a in i[keep].tolist()], [series[b] for b in j[keep].tolist()]
+
+    # The kernels record their dtw.* counts here; dtw.cells is recorded
+    # below in the pair loop's order instead of the batches' order.
+    scratch = MetricsRegistry()
+    previous = set_metrics(scratch)
+    try:
+        todo = np.flatnonzero(live)
+        second_ran = np.ones(len(todo), dtype=bool)
+        if normalized:
+            out[todo] = [
+                dtw_distance(xs[a], xs[b], window=window, normalized=True)
+                + dtw_distance(ys[a], ys[b], window=window, normalized=True)
+                for a, b in zip(i[todo].tolist(), j[todo].tolist())
+            ]
+        elif prune_threshold is None:
+            out[todo] = dtw_costs(*pairs(xs, todo), window) + dtw_costs(
+                *pairs(ys, todo), window
+            )
+        else:
+            threshold = prune_threshold
+            bound = lb_kim_pairs(xs, i, j)
+            bound += lb_kim_pairs(ys, i, j)
+            if window is not None:
+                # LB_Keogh only ever raises a bound, so pairs LB_Kim
+                # already puts at phi stay pruned without it.
+                for t in np.flatnonzero(bound < threshold).tolist():
+                    a, b = i[t], j[t]
+                    bound[t] = pair_lower_bound(xs[a], xs[b], window) + pair_lower_bound(
+                        ys[a], ys[b], window
+                    )
+            cut = bound >= threshold
+            out[cut] = np.inf
+            pruned = int(cut.sum())
+            todo = np.flatnonzero(live & ~cut)
+            out[todo] = np.inf
+            partial = dtw_costs(*pairs(xs, todo), window, abandon=threshold)
+            second_ran = partial < threshold
+            # The timestamp term may early-abandon at the *remaining*
+            # budget: a total >= phi can never form a < phi edge.
+            second = dtw_costs(
+                *pairs(ys, todo[second_ran]),
+                window,
+                abandon=threshold - partial[second_ran],
+            )
+            finite = ~np.isinf(second)
+            out[todo[second_ran][finite]] = partial[second_ran][finite] + second[finite]
+            shortcut = len(todo) - int(finite.sum())
+    finally:
+        set_metrics(previous)
+    stats = PairwiseStats(len(todo) - shortcut, pruned, shortcut)
+    matrix = np.zeros((n, n))
+    matrix[i, j] = out
+    matrix[j, i] = out
+
+    metrics = get_metrics()
+    metrics.counter("dtw.calls").inc(scratch.counter("dtw.calls").value)
+    metrics.counter("dtw.abandoned").inc(scratch.counter("dtw.abandoned").value)
+    x_cells = sizes[i[todo]] * sizes[j[todo]]
+    y_sizes = np.array([len(y) for y in ys], dtype=np.int64)
+    y_cells = np.where(second_ran, y_sizes[i[todo]] * y_sizes[j[todo]], -1)
+    cells = np.column_stack((x_cells, y_cells)).ravel()
+    histogram = metrics.histogram("dtw.cells")
+    for observed in cells[cells >= 0].tolist():
+        histogram.observe(observed)
+    metrics.counter("dtw.pairs_computed").inc(stats.computed)
+    metrics.counter("dtw.pairs_pruned").inc(stats.pruned)
+    metrics.counter("dtw.pairs_shortcut").inc(stats.shortcut)
+    if stats.total:
+        metrics.gauge("dtw.prune_hit_rate").set(
+            (stats.pruned + stats.shortcut) / stats.total
+        )
+    return matrix, stats
 
 
 def trajectory_dissimilarity_matrix(
@@ -50,12 +209,10 @@ def trajectory_dissimilarity_matrix(
 ) -> Tuple[Tuple[AccountId, ...], np.ndarray]:
     """Pairwise Eq. 8 dissimilarities over the dataset's accounts.
 
-    The pair space is scored by the sharded runtime
-    (:func:`repro.runtime.pairwise.sharded_trajectory_dissimilarity`) on
-    the process-global executor: each shard owns a contiguous pair
-    range, reuses the :mod:`repro.timeseries.bounds` lower bounds when
-    ``prune_threshold`` is given, and the merged matrix is identical for
-    any worker count.
+    The pair space is scored by
+    :func:`pairwise_trajectory_dissimilarity`, which uses the
+    :mod:`repro.timeseries.bounds` lower bounds when ``prune_threshold``
+    is given.
 
     Parameters
     ----------
@@ -96,9 +253,7 @@ def trajectory_dissimilarity_matrix(
         trajectories.append((xs, ys / timestamp_scale))
     n = len(order)
     get_metrics().counter("agtr.pairs_scored").inc(n * (n - 1) // 2)
-    if normalized:
-        prune_threshold = None  # bounds only hold for raw accumulated costs
-    matrix, _ = sharded_trajectory_dissimilarity(
+    matrix, _ = pairwise_trajectory_dissimilarity(
         trajectories,
         window=window,
         normalized=normalized,
@@ -123,7 +278,7 @@ class TrajectoryGrouper(AccountGrouper):
     window:
         Optional Sakoe-Chiba band half-width.
     prune:
-        Let the runtime skip pairs whose :mod:`repro.timeseries.bounds`
+        Skip pairs whose :mod:`repro.timeseries.bounds`
         lower bound already reaches ``threshold`` (raw cost form only;
         the resulting grouping is provably unchanged).  Default on.
     """

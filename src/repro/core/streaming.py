@@ -38,12 +38,13 @@ from typing import Dict, Iterable, List, Optional
 import numpy as np
 
 from repro._nputil import EPS
+from repro.core.dataset import bound_violation
 from repro.core.truth_discovery import (
     TruthDiscoveryResult,
     WeightFunction,
     crh_log_weights,
 )
-from repro.core.types import AccountId, Grouping, Observation, TaskId
+from repro.core.types import MAX_ABS_VALUE, AccountId, Grouping, Observation, TaskId
 from repro.errors import DataValidationError
 from repro.obs import get_metrics, get_tracer
 
@@ -221,10 +222,20 @@ class StreamingTruthDiscovery:
            update, incrementalized; with a grouping, a group's claims
            for one task are first averaged into a single vote (the
            streaming mean-flavoured Eq. 3 data grouping of Algorithm 2).
+
+        Raises :class:`~repro.errors.DataValidationError`, before any
+        state changes, if a value is not finite or exceeds
+        :data:`~repro.core.types.MAX_ABS_VALUE` in magnitude.
         """
         batch = list(observations)
         if not batch:
             return self.truths
+        for obs in batch:
+            if not abs(obs.value) <= MAX_ABS_VALUE:
+                raise DataValidationError(
+                    f"observation value for ({obs.account_id!r}, {obs.task_id!r}) "
+                    f"{bound_violation(obs.value)}"
+                )
         self._batches += 1
 
         n_tasks_pre = len(self._task_labels)

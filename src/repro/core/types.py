@@ -29,6 +29,14 @@ AccountId = str
 #: Identifier type for tasks (e.g. ``"T1"`` or ``"poi-3"``).
 TaskId = str
 
+#: Largest magnitude an ingested observation value or timestamp may have.
+#: Every algorithm squares differences of these numbers (Eq. 1 distances,
+#: CRH spreads, Eq. 8 DTW costs); at 1e100 the squares, summed over any
+#: realistic number of claims, stay far below float64's ~1.8e308 limit.
+#: ``SensingDataset`` and ``StreamingTruthDiscovery.observe`` reject
+#: anything larger, and anything non-finite.
+MAX_ABS_VALUE = 1e100
+
 
 @dataclass(frozen=True)
 class Task:

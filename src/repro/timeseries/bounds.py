@@ -14,7 +14,8 @@ bound* computable in linear time:
 Because both bound the *raw accumulated* DTW cost from below, a pair
 whose bound already reaches AG-TR's threshold ``phi`` can be skipped
 without running the dynamic program — the grouping result is
-unchanged.  AG-TR's pair scoring (:mod:`repro.runtime.pairwise`)
+unchanged.  AG-TR's pair scoring
+(:func:`~repro.core.grouping.trajectory.pairwise_trajectory_dissimilarity`)
 bounds every pair with :func:`lb_kim_pairs`, and re-bounds the pairs it
 leaves below ``phi`` with :func:`pair_lower_bound` (which adds
 :func:`lb_keogh` for equal lengths) when a band is set.  On the
@@ -111,8 +112,8 @@ def lb_kim_pairs(
 
     Built from each series' first and last values and length, with
     ``NaN`` where either series is empty.  AG-TR's pair scoring
-    (:mod:`repro.runtime.pairwise`) bounds its whole pair range with it
-    before running any dynamic program.
+    (:func:`~repro.core.grouping.trajectory.pairwise_trajectory_dissimilarity`)
+    bounds every pair with it before running any dynamic program.
     """
     sizes = np.array([len(s) for s in series])
     first = np.array([float(s[0]) if len(s) else np.nan for s in series])

@@ -217,9 +217,10 @@ def dtw_costs(
     *abandoned* (its cost reported as ``inf``) when some completed DP row
     ``i <= m`` has every cell ``j <= n`` at or above its budget, since
     cumulative costs never decrease along a warping path.  This is the
-    AG-TR pruning rule (:mod:`repro.runtime.pairwise`), where the budget
-    is what remains below the grouping threshold ``phi`` — an abandoned
-    pair could never have formed a ``< phi`` edge.  A ``NaN`` budget
+    AG-TR pruning rule
+    (:func:`~repro.core.grouping.trajectory.pairwise_trajectory_dissimilarity`),
+    where the budget is what remains below the grouping threshold
+    ``phi`` — an abandoned pair could never have formed a ``< phi`` edge.  A ``NaN`` budget
     never abandons.
 
     Records ``dtw.calls`` and ``dtw.abandoned`` and one ``dtw.cells``

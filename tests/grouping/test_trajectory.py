@@ -10,6 +10,32 @@ from repro.core.grouping.trajectory import (
 )
 from repro.experiments.paperdata import TABLE1_ACCOUNTS, paper_example_dataset
 from repro.obs import get_metrics
+from repro.timeseries.dtw import dtw_distance
+
+
+def _serial_dissimilarity_reference(dataset, timestamp_scale=3600.0):
+    """Eq. 8 with a per-pair dtw_distance loop."""
+    trajectories = [
+        (xs, ys / timestamp_scale)
+        for xs, ys in (dataset.trajectory(a) for a in dataset.accounts)
+    ]
+    n = len(trajectories)
+    matrix = np.zeros((n, n))
+    for i in range(n):
+        for j in range(i + 1, n):
+            (xi, yi), (xj, yj) = trajectories[i], trajectories[j]
+            if len(xi) == 0 or len(xj) == 0:
+                score = np.nan
+            else:
+                score = dtw_distance(xi, xj, normalized=False) + dtw_distance(
+                    yi, yj, normalized=False
+                )
+            matrix[i, j] = matrix[j, i] = score
+    return matrix
+
+
+def _partitions(grouping):
+    return {frozenset(group) for group in grouping.groups}
 
 
 class TestDissimilarityMatrix:
@@ -52,6 +78,23 @@ class TestDissimilarityMatrix:
         )
         assert np.isnan(matrix[0, 1])
 
+    def test_empty_trajectory_mid_order_stays_nan(self):
+        dataset = SensingDataset.from_matrix(
+            [[1.0, 2.0], [1.5, 2.5]], account_ids=["a", "b"]
+        )
+        order, matrix = trajectory_dissimilarity_matrix(
+            dataset, accounts=["a", "empty", "b"]
+        )
+        k = order.index("empty")
+        assert all(np.isnan(matrix[k, c]) for c in range(3) if c != k)
+        assert not np.isnan(matrix[0, 2])
+
+    def test_paper_scenario_matches_serial_dtw(self, paper_scenario):
+        dataset = paper_scenario.dataset
+        _, matrix = trajectory_dissimilarity_matrix(dataset)
+        reference = _serial_dissimilarity_reference(dataset)
+        assert np.array_equal(reference, matrix, equal_nan=True)
+
     def test_normalized_variant_differs_and_stays_nonnegative(self):
         ds = paper_example_dataset()
         _, raw = trajectory_dissimilarity_matrix(ds, normalized=False)
@@ -88,6 +131,12 @@ class TestPruning:
         scored = int(np.count_nonzero(~np.isnan(matrix[np.triu_indices(n, 1)])))
         assert sum(counts.values()) == scored
         assert counts["pruned"] > 0
+
+    def test_pruned_grouping_equals_unpruned(self, paper_scenario):
+        dataset = paper_scenario.dataset
+        unpruned = TrajectoryGrouper(threshold=1.0, prune=False).group(dataset)
+        pruned = TrajectoryGrouper(threshold=1.0, prune=True).group(dataset)
+        assert _partitions(unpruned) == _partitions(pruned)
 
 
 class TestGrouping:

@@ -47,15 +47,3 @@ class TestTraceRun:
         assert main(["fig3"]) == 0
         assert "Stage times" not in capsys.readouterr().out
         assert get_tracer() is NOOP_TRACER
-
-    def test_profile_reports_the_workers_the_run_used(self, tmp_path, capsys):
-        out = tmp_path / "trace.jsonl"
-        assert main(["fig3", "--workers", "2", "--profile", "--trace-out", str(out)]) == 0
-        gauges = [
-            line.split()
-            for line in capsys.readouterr().out.splitlines()
-            if line.startswith("runtime.workers")
-        ]
-        assert gauges == [["runtime.workers", "2"]]
-        snapshot = json.loads(out.read_text().splitlines()[-1])
-        assert snapshot["gauges"]["runtime.workers"] == 2

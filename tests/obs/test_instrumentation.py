@@ -5,12 +5,12 @@ import pytest
 from repro.core.crh import CRH
 from repro.core.framework import SybilResistantTruthDiscovery
 from repro.core.grouping import TaskSetGrouper, TrajectoryGrouper
+from repro.core.grouping.trajectory import pairwise_trajectory_dissimilarity
 from repro.core.streaming import StreamingTruthDiscovery
 from repro.core.truth_discovery import ConvergencePolicy, IterativeTruthDiscovery
 from repro.core.types import Observation
 from repro.errors import ConvergenceError
 from repro.obs import get_metrics, tracing_session
-from repro.runtime.pairwise import sharded_trajectory_dissimilarity
 
 
 def _span_names(tracer):
@@ -119,8 +119,8 @@ class TestGrouperTelemetry:
     def test_pruned_dtw_matrix_reports_hit_rate(self):
         series = [[0.0, 0.0], [0.1, 0.1], [100.0, 100.0]]
         trajectories = [(s, [0.0, 0.0]) for s in series]
-        with tracing_session() as tracer:
-            _, stats = sharded_trajectory_dissimilarity(
+        with tracing_session():
+            _, stats = pairwise_trajectory_dissimilarity(
                 trajectories, prune_threshold=1.0
             )
         assert stats.computed == 1 and stats.pruned == 2
@@ -130,8 +130,6 @@ class TestGrouperTelemetry:
         assert metrics.gauge("dtw.prune_hit_rate").value == pytest.approx(2 / 3)
         # The one computed pair ran both Eq. 8 DTW terms.
         assert metrics.counter("dtw.calls").value == 2
-        span = next(r for r in tracer.spans if r.name == "runtime.map")
-        assert span.attributes["fn"] == "agtr.dissimilarity_shard"
 
 
 class TestStreamingTelemetry:

@@ -22,7 +22,7 @@ HOST = {"cpu_count": 2, "numpy": "2.4.6", "platform": "Linux-x86_64"}
 def _snapshot(host, scale):
     return {
         "created_at": 1.0,
-        "schema": "repro.bench/pipeline.v5",
+        "schema": "repro.bench/pipeline.v6",
         "host": host,
         "wall_s": 2.0 * scale,
         "stages": {"td.discover": {"total_s": 0.5 * scale}},
@@ -49,6 +49,6 @@ def test_other_host_is_skipped(bench, previous_host):
     speedup = bench.speedup_vs_previous(previous, _snapshot(HOST, 1.0))
     assert speedup == {
         "baseline_created_at": 1.0,
-        "baseline_schema": "repro.bench/pipeline.v5",
+        "baseline_schema": "repro.bench/pipeline.v6",
         "skipped": "host differs",
     }

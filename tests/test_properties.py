@@ -483,3 +483,117 @@ def test_compact_by_groups_invariants(values, data):
     for k in range(gm.nnz):
         members = [v for v, g in zip(values, groups) if g == gm.row_idx[k]]
         assert min(members) - 1e-9 <= gm.values[k] <= max(members) + 1e-9
+
+
+# ----------------------------------------------------------------------
+# Metamorphic properties of Algorithm 2 (no ground truth needed)
+# ----------------------------------------------------------------------
+
+
+@st.composite
+def campaign_matrices(draw):
+    """2-11 accounts x 1-7 tasks, sparse; every account claims something."""
+    n = draw(st.integers(2, 11))
+    m = draw(st.integers(1, 7))
+    cell = st.one_of(st.none(), st.floats(-100, 100))
+    rows = [draw(st.lists(cell, min_size=m, max_size=m)) for _ in range(n)]
+    arr = np.array([[np.nan if v is None else v for v in row] for row in rows])
+    assume(np.isfinite(arr).any(axis=1).all())
+    return arr
+
+
+@given(campaign_matrices())
+@settings(max_examples=60, deadline=None)
+def test_framework_with_singleton_groups_is_crh(matrix):
+    from repro.core.crh import CRH
+    from repro.core.framework import SybilResistantTruthDiscovery
+
+    dataset = SensingDataset.from_matrix(matrix)
+    crh = CRH().discover(dataset)
+    framework = SybilResistantTruthDiscovery().discover(
+        dataset, grouping=Grouping.singletons(dataset.accounts)
+    )
+    assert set(framework.truths) == set(crh.truths)
+    for task, truth in crh.truths.items():
+        assert framework.truths[task] == pytest.approx(truth, abs=1e-9)
+
+
+@given(campaign_matrices())
+@settings(max_examples=60, deadline=None)
+def test_crh_truths_invariant_under_reversed_account_order(matrix):
+    from repro.core.crh import CRH
+
+    n = len(matrix)
+    # Account ids sort in row order, so reversing the rows under the
+    # same ids reverses the order the engine sees the accounts in.
+    ids = [f"a{i:02d}" for i in range(n)]
+    forward = CRH().discover(SensingDataset.from_matrix(matrix, account_ids=ids))
+    backward = CRH().discover(SensingDataset.from_matrix(matrix[::-1], account_ids=ids))
+    assert set(forward.truths) == set(backward.truths)
+    for task, truth in forward.truths.items():
+        assert backward.truths[task] == pytest.approx(truth, abs=1e-9)
+
+
+@given(campaign_matrices(), st.sampled_from([1, 3]))
+@settings(max_examples=60, deadline=None)
+def test_crh_truths_affine_equivariant_at_fixed_iterations(matrix, iterations):
+    # ConvergencePolicy.tolerance is an absolute truth change, so scaled
+    # data can stop on a different iteration; tolerance=0 fixes the count.
+    from repro.core.crh import CRH
+    from repro.core.truth_discovery import ConvergencePolicy
+
+    policy = ConvergencePolicy(max_iterations=iterations, tolerance=0.0)
+    plain = CRH(convergence=policy).discover(SensingDataset.from_matrix(matrix))
+    affine = CRH(convergence=policy).discover(SensingDataset.from_matrix(3 * matrix + 7))
+    assert plain.iterations == affine.iterations == iterations
+    for task, truth in plain.truths.items():
+        assert affine.truths[task] == pytest.approx(3 * truth + 7, abs=1e-9)
+
+
+@given(
+    st.lists(
+        st.lists(st.one_of(st.none(), st.floats(-100, 100)), min_size=3, max_size=3),
+        max_size=4,
+    ),
+    st.lists(st.one_of(st.none(), st.floats(-100, 100)), min_size=3, max_size=3),
+    st.integers(1, 4),
+)
+@settings(max_examples=60, deadline=None)
+def test_clone_keeps_group_value_and_lowers_its_eq4_weight(legit, fabricated, clones):
+    # A Sybil group whose accounts all claim the same fabricated value:
+    # one more clone must not move its Eq. 3 value under any aggregation,
+    # and must cut its Eq. 4 weight 1 - |g_k|/|U_j| on every task another
+    # group answered (on the others the weight stays 0).
+    from repro.core.framework import GROUP_AGGREGATIONS, SybilResistantTruthDiscovery
+
+    assume(any(v is not None for v in fabricated))
+    legit_ids = [f"u{i}" for i in range(len(legit))]
+    tasks = [f"T{j + 1}" for j in range(3)]
+
+    def run(n_clones, aggregation):
+        sybil_ids = [f"s{c}" for c in range(n_clones)]
+        rows = legit + [fabricated] * n_clones
+        matrix = [[np.nan if v is None else v for v in row] for row in rows]
+        dataset = SensingDataset.from_matrix(matrix, account_ids=legit_ids + sybil_ids)
+        grouping = Grouping.from_groups([[u] for u in legit_ids] + [sybil_ids])
+        result = SybilResistantTruthDiscovery(aggregation=aggregation).discover(
+            dataset, grouping=grouping
+        )
+        return result, result.grouping.group_index_of("s0")
+
+    for aggregation in GROUP_AGGREGATIONS:
+        (before, k0), (after, k1) = run(clones, aggregation), run(clones + 1, aggregation)
+        for j, value in enumerate(fabricated):
+            if value is None:
+                continue
+            task = tasks[j]
+            assert before.group_values[task][k0] == pytest.approx(value, rel=1e-12, abs=1e-12)
+            assert after.group_values[task][k1] == pytest.approx(
+                before.group_values[task][k0], rel=1e-12, abs=1e-12
+            )
+            weight_before = before.initial_group_weights[task][k0]
+            weight_after = after.initial_group_weights[task][k1]
+            if any(row[j] is not None for row in legit):
+                assert weight_after < weight_before
+            else:
+                assert weight_after == weight_before == 0.0

@@ -1,8 +1,9 @@
 """Reference AG-TR scoring: the scalar DTW recurrence and per-pair loop.
 
 A test-only oracle for :mod:`repro.timeseries.dtw`,
-:mod:`repro.timeseries.bounds` and :mod:`repro.runtime.pairwise`: the
-dynamic program one cell at a time, the lower bounds one pair at a time,
+:mod:`repro.timeseries.bounds` and AG-TR's pair scoring
+(:func:`repro.core.grouping.trajectory.pairwise_trajectory_dissimilarity`):
+the dynamic program one cell at a time, the lower bounds one pair at a time,
 and the pruned Eq. 8 pair loop with its DTW telemetry.  It shares no
 code with the whole-array implementation it checks.
 """
@@ -83,7 +84,7 @@ def oracle_pair_bound(a: np.ndarray, b: np.ndarray, window: Optional[int]) -> fl
 
 
 class OracleScores:
-    """Eq. 8 over all pairs, with the counts the runtime reports."""
+    """Eq. 8 over all pairs, with the counts AG-TR scoring reports."""
 
     def __init__(self) -> None:
         self.computed = self.pruned = self.shortcut = 0

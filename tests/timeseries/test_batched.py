@@ -13,12 +13,12 @@ from hypothesis import strategies as st
 from repro.core.dataset import SensingDataset
 from repro.core.grouping.trajectory import (
     TrajectoryGrouper,
+    pairwise_trajectory_dissimilarity,
     trajectory_dissimilarity_matrix,
 )
 from repro.core.types import Observation, Task
 from repro.obs import MetricsRegistry, set_metrics
 from repro.obs.metrics import Histogram
-from repro.runtime.pairwise import sharded_trajectory_dissimilarity
 from repro.timeseries.bounds import envelope, lb_kim, lb_kim_pairs
 from repro.timeseries.dtw import dtw_cost, dtw_costs, warping_path
 
@@ -150,7 +150,7 @@ thresholds = st.sampled_from([None, 0.5, 1.0, 4.0, 12.0])
 @settings(max_examples=120, deadline=None)
 def test_scores_equal_the_pair_loop(trajs, window, threshold):
     (matrix, stats), registry = _recorded(
-        lambda: sharded_trajectory_dissimilarity(
+        lambda: pairwise_trajectory_dissimilarity(
             trajs, window=window, prune_threshold=threshold
         )
     )
@@ -177,7 +177,7 @@ def test_half_empty_trajectory_rejected():
         (np.array([3.0]), np.array([])),
     ]
     with pytest.raises(ValueError, match="not both"):
-        sharded_trajectory_dissimilarity(trajectories, prune_threshold=1.0)
+        pairwise_trajectory_dissimilarity(trajectories, prune_threshold=1.0)
 
 
 campaigns = st.lists(

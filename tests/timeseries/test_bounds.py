@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.runtime.pairwise import sharded_trajectory_dissimilarity
+from repro.core.grouping.trajectory import pairwise_trajectory_dissimilarity
 from repro.timeseries.bounds import envelope, lb_keogh, lb_kim
 from repro.timeseries.dtw import dtw_distance
 
@@ -77,7 +77,7 @@ def _pruned_matrix(series, threshold, window=None):
     raw DTW cost.
     """
     trajectories = [(s, np.zeros(len(s))) for s in series]
-    return sharded_trajectory_dissimilarity(
+    return pairwise_trajectory_dissimilarity(
         trajectories, window=window, prune_threshold=threshold
     )
 

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.runtime.pairwise import sharded_trajectory_dissimilarity
+from repro.core.grouping.trajectory import pairwise_trajectory_dissimilarity
 from repro.timeseries.dtw import dtw_distance, warping_path
 
 
@@ -114,7 +114,7 @@ class TestWindow:
 def _distance_matrix(series):
     """Pairwise Eq. 7 distances on AG-TR's scoring path (zero timestamps)."""
     trajectories = [(s, np.zeros(len(s))) for s in series]
-    matrix, _ = sharded_trajectory_dissimilarity(trajectories, normalized=True)
+    matrix, _ = pairwise_trajectory_dissimilarity(trajectories, normalized=True)
     return matrix
 
 
