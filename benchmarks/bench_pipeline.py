@@ -22,7 +22,7 @@ Since schema v2 the snapshot also times:
   computed only when the previous snapshot's ``host`` equals this
   run's; otherwise the section records ``"skipped": "host differs"``.
 
-Schema v4 records the ``host`` (CPU count, numpy version, platform)
+Schema v4 records the ``host`` (CPU count, numpy and scipy versions, platform)
 and times the grouping stages on a ~600-account population scenario in
 the ``pruning`` section: AG-TR with LB_Kim/LB_Keogh pruning and early
 abandoning vs the same code unpruned, and AG-TS's Gram-matrix Eq. 6 vs
@@ -363,12 +363,18 @@ def time_pruning(dataset) -> Dict[str, Any]:
 
 
 def host_info() -> Dict[str, Any]:
-    """The machine a snapshot was taken on; timings compare only within one."""
+    """The machine a snapshot was taken on; timings compare only within one.
+
+    The numpy and scipy versions are also what CI pins before it checks
+    the snapshot's counters with ``tools/bench_check.py``.
+    """
     import numpy as np
+    import scipy
 
     return {
         "cpu_count": os.cpu_count(),
         "numpy": np.__version__,
+        "scipy": scipy.__version__,
         "platform": platform.platform(),
     }
 

@@ -16,11 +16,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Collection, Dict, FrozenSet, Hashable, Iterable, List, Mapping
+from typing import Dict, FrozenSet, Hashable, Iterable, List, Mapping
 from typing import Optional, Tuple
 
 import numpy as np
 
+from repro.core.dataset import intern
 from repro.core.truth_discovery import ConvergencePolicy, WeightFunction, crh_log_weights
 from repro.core.types import AccountId, Grouping, TaskId
 from repro.errors import ConvergenceError, DataValidationError
@@ -51,12 +52,10 @@ class CategoricalClaims:
         self._by_pair = by_pair
         # Claim-order arrays; codes follow ``repr`` order, the vote tie-break.
         accounts, tasks = [a for a, _ in by_pair], [t for _, t in by_pair]
-        self._tasks: Tuple[TaskId, ...] = tuple(sorted(set(tasks)))
-        self._accounts: Tuple[AccountId, ...] = tuple(sorted(set(accounts)))
-        self._labels: Tuple[Label, ...] = tuple(sorted(set(by_pair.values()), key=repr))
-        self._task_idx = _positions(self._tasks, tasks)
-        self._account_idx = _positions(self._accounts, accounts)
-        self._codes = _positions(self._labels, by_pair.values())
+        labels = list(by_pair.values())
+        self._tasks, _, self._task_idx = intern(tasks)
+        self._accounts, _, self._account_idx = intern(accounts)
+        self._labels, _, self._codes = intern(labels, sorted(set(labels), key=repr))
 
     @property
     def tasks(self) -> Tuple[TaskId, ...]:
@@ -180,8 +179,7 @@ class CategoricalTruthDiscovery:
             f"g{grouping.group_index_of(a)}" if grouping and a in grouping else str(a)
             for a in claims.accounts
         ]
-        sources = sorted(set(names))
-        source_of = _positions(sources, names)
+        sources, _, source_of = intern(names)
         cell = claims._task_idx * len(sources) + source_of[claims._account_idx]
         # Dense (task, source) cell ids keep every int64 key below n_claims**2.
         cells, cell = np.unique(cell, return_inverse=True)
@@ -209,7 +207,3 @@ class _Ballot:
         hits = np.where(totals == best, np.arange(len(totals)), len(totals))
         return self._code[np.minimum.reduceat(hits, self._starts)]
 
-
-def _positions(ordered: Iterable, items: Collection) -> np.ndarray:
-    index = {item: k for k, item in enumerate(ordered)}
-    return np.fromiter(map(index.__getitem__, items), np.intp, len(items))

@@ -1,18 +1,16 @@
 """The compiled claim matrix: a CSR-style view of a sensing campaign.
 
 Every truth discovery algorithm in this library consumes the same sparse
-structure — *who claimed what value for which task* — but the seed
-implementations each rebuilt it their own way (a dense accounts × tasks
-``NaN`` matrix for Algorithm 1, ``Dict[TaskId, Dict[int, float]]`` walks
-for Algorithm 2, per-batch dict grouping for streaming).
-:class:`ClaimMatrix` compiles the claims **once** into flat index arrays
+structure — *who claimed what value for which task* — as flat index
+arrays
 
 * ``row_idx[k]`` — the source (account or group) of claim ``k``;
 * ``col_idx[k]`` — the task of claim ``k``;
 * ``values[k]`` — the datum ``d_j^i``;
 
 sorted by ``(row, col)``, so every per-source or per-task aggregate is a
-segment-sum (``np.bincount``) instead of a Python loop.  The iteration
+segment-sum (``np.bincount``) instead of a Python loop.  A dataset's
+matrix is compiled from its claim store at most once.  The iteration
 kernels in :mod:`repro.core.engine.kernels` and the shared convergence
 loop in :mod:`repro.core.engine.loop` operate exclusively on this layout.
 
@@ -104,35 +102,29 @@ class ClaimMatrix:
 
     @classmethod
     def from_dataset(cls, dataset: SensingDataset) -> "ClaimMatrix":
-        """Compile a :class:`SensingDataset` (rows = accounts, cols = tasks).
+        """The dataset's claims as a matrix (rows = accounts, cols = tasks).
 
         Row order is the dataset's sorted account order and column order
-        its sorted task order — identical to ``dataset.to_matrix()`` —
-        but the build is O(claims), never materializing the dense matrix.
+        its sorted task order — identical to ``dataset.to_matrix()``.  The
+        matrix is compiled from the dataset's claim arrays at most once
+        per dataset and shared by every caller, so its arrays are
+        read-only.
         """
-        accounts = dataset.accounts
-        tasks = dataset.tasks
-        col_of = {tid: j for j, tid in enumerate(tasks)}
-        n = len(dataset)
-        row_idx = np.empty(n, dtype=np.intp)
-        col_idx = np.empty(n, dtype=np.intp)
-        values = np.empty(n, dtype=float)
-        k = 0
-        for i, account in enumerate(accounts):
-            for obs in dataset.observations_for_account(account):
-                row_idx[k] = i
-                col_idx[k] = col_of[obs.task_id]
-                values[k] = obs.value
-                k += 1
-        return cls(
-            row_idx,
-            col_idx,
-            values,
-            n_rows=len(accounts),
-            n_cols=len(tasks),
-            row_labels=tuple(str(a) for a in accounts),
-            col_labels=tasks,
-        )
+        matrix = dataset._compiled
+        if matrix is None:
+            matrix = cls(
+                dataset._rows,
+                dataset._cols,
+                dataset._values,
+                n_rows=len(dataset.accounts),
+                n_cols=len(dataset.tasks),
+                row_labels=tuple(str(a) for a in dataset.accounts),
+                col_labels=dataset.tasks,
+            )
+            for array in (matrix.row_idx, matrix.col_idx, matrix.values):
+                array.flags.writeable = False
+            dataset._compiled = matrix
+        return matrix
 
     # ------------------------------------------------------------------
     # Cached per-column structure

@@ -33,7 +33,7 @@ from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.dataset import SensingDataset
+from repro.core.dataset import SensingDataset, intern
 from repro.core.grouping.base import AccountGrouper
 from repro.core.types import AccountId, Grouping
 from repro.graph.threshold import graph_from_affinity, groups_from_components
@@ -62,12 +62,12 @@ def taskset_affinity_matrix(
     m = len(dataset.tasks)
     if m == 0:
         raise ValueError("dataset has no tasks; affinity is undefined")
-    task_index = {task: k for k, task in enumerate(dataset.tasks)}
     n = len(order)
-    membership = np.zeros((n, m))
-    for i, account in enumerate(order):
-        for task in dataset.task_set(account):
-            membership[i, task_index[task]] = 1.0
+    # One row per dataset account, plus an all-zero last row that code -1
+    # (an account without claims) selects.
+    known = np.zeros((len(dataset.accounts) + 1, m))
+    known[dataset._rows, dataset._cols] = 1.0
+    membership = known[intern(order, dataset.accounts)[2]]
     get_metrics().counter("agts.pairs_scored").inc(n * (n - 1) // 2)
     together = membership @ membership.T
     sizes = together.diagonal()

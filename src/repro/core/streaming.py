@@ -384,24 +384,20 @@ def replay_dataset(
 
     Observations are sorted by timestamp and cut into ``batch_seconds``
     windows — the natural way to replay a
-    :class:`~repro.core.dataset.SensingDataset` as a stream.
+    :class:`~repro.core.dataset.SensingDataset` as a stream.  Window
+    ``w`` holds the timestamps ``t`` with ``floor((t - t0) /
+    batch_seconds) == w``, ``t0`` the earliest; empty windows are
+    skipped, so a gap between observations costs nothing.
     """
     if batch_seconds <= 0:
         raise DataValidationError(
             f"batch_seconds must be positive, got {batch_seconds}"
         )
     ordered = sorted(observations, key=lambda o: (o.timestamp, o.account_id))
-    batch: List[Observation] = []
-    window_end: Optional[float] = None
-    for obs in ordered:
-        if window_end is None:
-            window_end = obs.timestamp + batch_seconds
-        if obs.timestamp >= window_end:
-            engine.observe(batch)
-            batch = []
-            while obs.timestamp >= window_end:
-                window_end += batch_seconds
-        batch.append(obs)
-    if batch:
-        engine.observe(batch)
+    times = np.array([obs.timestamp for obs in ordered], dtype=float)
+    windows = np.floor((times - times[:1]) / batch_seconds)
+    bounds = [0, *(np.flatnonzero(windows[1:] != windows[:-1]) + 1).tolist(), len(ordered)]
+    for start, stop in zip(bounds[:-1], bounds[1:]):
+        if stop > start:
+            engine.observe(ordered[start:stop])
     return engine.truths

@@ -77,14 +77,10 @@ def load_observations_csv(path: PathLike) -> SensingDataset:
                     f"line {line_number}: expected 4 fields, got {len(row)}"
                 )
             account, task, value, timestamp = row
-            observations.append(
-                Observation(
-                    account_id=account,
-                    task_id=task,
-                    value=float(value),
-                    timestamp=float(timestamp),
-                )
-            )
+            try:
+                observations.append(Observation(account, task, float(value), float(timestamp)))
+            except ValueError as exc:
+                raise DataValidationError(f"line {line_number}: {exc}") from exc
             task_ids.add(task)
     tasks = [Task(task_id=tid) for tid in sorted(task_ids)]
     return SensingDataset(tasks, observations)
@@ -140,15 +136,29 @@ def load_dataset_json(path: PathLike) -> SensingDataset:
         for entry in payload["tasks"]
     ]
     observations = [
-        Observation(
-            account_id=entry["account_id"],
-            task_id=entry["task_id"],
-            value=float(entry["value"]),
-            timestamp=float(entry["timestamp"]),
-        )
-        for entry in payload["observations"]
+        _observation_entry(k, entry) for k, entry in enumerate(payload["observations"])
     ]
     return SensingDataset(tasks, observations)
+
+
+def _observation_entry(k: int, entry: Dict) -> Observation:
+    """Observation ``k`` of a dataset file; its value and timestamp must be
+    JSON numbers."""
+    if not isinstance(entry, dict):
+        raise DataValidationError(f"observation {k}: expected an object, got {entry!r}")
+    try:
+        fields = [entry[name] for name in ("account_id", "task_id", "value", "timestamp")]
+    except KeyError as exc:
+        raise DataValidationError(f"observation {k}: missing {exc}") from None
+    for name, number in zip(("value", "timestamp"), fields[2:]):
+        if isinstance(number, bool) or not isinstance(number, (int, float)):
+            raise DataValidationError(
+                f"observation {k}: {name} must be a number, got {number!r}"
+            )
+    try:
+        return Observation(*fields[:2], float(fields[2]), float(fields[3]))
+    except ValueError as exc:
+        raise DataValidationError(f"observation {k}: {exc}") from exc
 
 
 # ----------------------------------------------------------------------

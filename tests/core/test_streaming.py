@@ -1,7 +1,11 @@
 """Streaming truth discovery tests: decay, tracking, Sybil grouping."""
 
+import time
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.streaming import StreamingTruthDiscovery, replay_dataset
 from repro.core.types import Grouping, Observation
@@ -171,3 +175,60 @@ class TestReplay:
     def test_bad_batch_seconds(self):
         with pytest.raises(DataValidationError, match="batch_seconds"):
             replay_dataset(StreamingTruthDiscovery(), [], batch_seconds=0.0)
+
+
+class _Recorder:
+    """Stands in for the engine: records each batch ``observe`` gets."""
+
+    def __init__(self):
+        self.batches = []
+        self.truths = {}
+
+    def observe(self, batch):
+        self.batches.append(list(batch))
+
+
+def _stepping_replay(engine, observations, batch_seconds):
+    """The window loop ``replay_dataset`` used to run: one step per window."""
+    ordered = sorted(observations, key=lambda o: (o.timestamp, o.account_id))
+    batch, window_end = [], None
+    for obs in ordered:
+        if window_end is None:
+            window_end = obs.timestamp + batch_seconds
+        if obs.timestamp >= window_end:
+            engine.observe(batch)
+            batch = []
+            while obs.timestamp >= window_end:
+                window_end += batch_seconds
+        batch.append(obs)
+    if batch:
+        engine.observe(batch)
+
+
+class TestReplayWindows:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(st.integers(0, 500), max_size=30),
+        st.sampled_from([1.0, 7.0, 60.0, 600.0]),
+    )
+    def test_same_batches_as_the_stepping_loop(self, stamps, batch_seconds):
+        observations = [_obs(f"a{k}", "T1", 1.0, float(t)) for k, t in enumerate(stamps)]
+        stepped, replayed = _Recorder(), _Recorder()
+        _stepping_replay(stepped, observations, batch_seconds)
+        replay_dataset(replayed, observations, batch_seconds)
+        assert replayed.batches == stepped.batches
+
+    @pytest.mark.parametrize(
+        "stamps, batches",
+        [
+            ([0.0, 1.0, 1e13, 1e13 + 10.0], 2),
+            ([0.0, 1e20], 2),
+            ([1e20, 1e20 + 1e5, 3e20], 3),
+        ],
+    )
+    def test_huge_gaps_return_at_once(self, stamps, batches):
+        recorder = _Recorder()
+        start = time.perf_counter()
+        replay_dataset(recorder, [_obs(f"a{k}", "T1", 1.0, t) for k, t in enumerate(stamps)])
+        assert time.perf_counter() - start < 1.0
+        assert len(recorder.batches) == batches

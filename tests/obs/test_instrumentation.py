@@ -3,12 +3,13 @@
 import pytest
 
 from repro.core.crh import CRH
+from repro.core.dataset import SensingDataset
 from repro.core.framework import SybilResistantTruthDiscovery
 from repro.core.grouping import TaskSetGrouper, TrajectoryGrouper
 from repro.core.grouping.trajectory import pairwise_trajectory_dissimilarity
 from repro.core.streaming import StreamingTruthDiscovery
 from repro.core.truth_discovery import ConvergencePolicy, IterativeTruthDiscovery
-from repro.core.types import Observation
+from repro.core.types import Observation, Task
 from repro.errors import ConvergenceError
 from repro.obs import get_metrics, tracing_session
 
@@ -177,3 +178,57 @@ class TestKMeansElbowTelemetry:
         assert metrics.counter("kmeans.restarts").value == 8
         span = next(r for r in tracer.spans if r.name == "ml.elbow_scan")
         assert span.attributes["k"] == result.k
+
+
+class TestIngestTelemetry:
+    @staticmethod
+    def _ingest_spans(tracer):
+        return [r for r in tracer.spans if r.name == "ingest.dataset"]
+
+    @pytest.mark.parametrize(
+        "build, claims, accounts, tasks",
+        [
+            (
+                lambda: SensingDataset(
+                    [Task("T1"), Task("T2")], [Observation("a", "T1", 1.0, 0.0)]
+                ),
+                1, 1, 2,
+            ),
+            (
+                lambda: SensingDataset.from_arrays(
+                    [Task("T1")], ["a", "b"], ["T1", "T1"], [1.0, 2.0], [0.0, 1.0]
+                ),
+                2, 2, 1,
+            ),
+            (lambda: SensingDataset.from_matrix([[1.0, float("nan")], [2.0, 3.0]]), 3, 2, 2),
+        ],
+    )
+    def test_every_constructor_opens_one_ingest_span(self, build, claims, accounts, tasks):
+        with tracing_session() as tracer:
+            build()
+        (span,) = self._ingest_spans(tracer)
+        assert span.attributes == {"claims": claims, "accounts": accounts, "tasks": tasks}
+
+    def test_derived_datasets_open_an_ingest_span(self, simple_dataset):
+        with tracing_session() as tracer:
+            rest = simple_dataset.without_accounts([simple_dataset.accounts[0]])
+            merged = rest.merged_with(SensingDataset.from_matrix([[5.0]], account_ids=["new"]))
+        spans = self._ingest_spans(tracer)
+        assert [s.attributes["claims"] for s in spans] == [len(rest), 1, len(merged)]
+        assert spans[-1].attributes["accounts"] == len(rest.accounts) + 1
+
+    def test_failed_ingest_span_records_the_error(self):
+        with tracing_session() as tracer:
+            with pytest.raises(ValueError, match="unknown task"):
+                SensingDataset([Task("T1")], [Observation("a", "T9", 1.0, 0.0)])
+        (span,) = self._ingest_spans(tracer)
+        assert span.status == "error:DataValidationError"
+
+    def test_compile_nests_under_discover_and_data_grouping(self, paper_dataset):
+        grouping = TaskSetGrouper().group(paper_dataset)
+        with tracing_session() as tracer:
+            CRH().discover(paper_dataset)
+            SybilResistantTruthDiscovery().discover(paper_dataset, grouping=grouping)
+        by_id = {r.span_id: r for r in tracer.spans}
+        parents = [by_id[r.parent_id].name for r in tracer.spans if r.name == "engine.compile"]
+        assert parents == ["td.discover", "framework.data_grouping"]

@@ -173,3 +173,102 @@ def test_bound_is_inclusive():
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         assert np.isfinite(CRH().discover(dataset).truths["T1"])
+
+
+# ----------------------------------------------------------------------
+# Typed errors at every ingest entry point, naming the entry
+# ----------------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "kwargs, message",
+    [
+        ({"values": [[1.0, 2.0]], "timestamps": [[0.0, -5.0]]},
+         "observation timestamp for ('a0', 'T2') must be non-negative, got -5.0"),
+        ({"values": [[1.0, "abc"]]},
+         "observation value for ('a0', 'T2') must be numeric, got <class 'str'>"),
+        ({"values": [[1.0, 2.0]], "timestamps": [[0.0, "noon"]]},
+         "observation timestamp for ('a0', 'T2') must be numeric, got <class 'str'>"),
+    ],
+)
+def test_from_matrix_names_the_bad_entry(kwargs, message):
+    with pytest.raises(DataValidationError) as info:
+        SensingDataset.from_matrix(**kwargs)
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize(
+    "column, bad, message",
+    [
+        (2, "1.0", "observation value for ('b', 'T1') must be numeric, got <class 'str'>"),
+        (3, None, "observation timestamp for ('b', 'T1') must be numeric, got <class 'NoneType'>"),
+        (3, -5.0, "observation timestamp for ('b', 'T1') must be non-negative, got -5.0"),
+        (3, math.nan, "observation timestamp for ('b', 'T1') is not finite: nan"),
+        (2, 1e101, "observation value for ('b', 'T1') exceeds the 1e+100 magnitude bound: 1e+101"),
+        (1, "T9", "observation references unknown task 'T9'"),
+        (0, "a", "duplicate observation for account 'a' and task 'T1'"),
+    ],
+)
+def test_from_arrays_reports_the_first_bad_claim(column, bad, message):
+    columns = [["a", "b", "c"], ["T1", "T1", "T1"], [1.0, 2.0, 3.0], [0.0, 1.0, 2.0]]
+    columns[column][1] = bad
+    # A later claim is bad too: the first in input order is reported.
+    columns[2][2] = math.inf
+    with pytest.raises(DataValidationError) as info:
+        SensingDataset.from_arrays([Task("T1")], *columns)
+    assert str(info.value) == message
+
+
+def test_from_arrays_rejects_ragged_columns():
+    with pytest.raises(DataValidationError, match="equal lengths"):
+        SensingDataset.from_arrays([Task("T1")], ["a"], ["T1"], [1.0, 2.0], [0.0])
+
+
+@pytest.mark.parametrize(
+    "row, message",
+    [
+        ("a,T1,1.0,-5", "line 3: timestamp must be non-negative, got -5.0"),
+        ("a,T1,abc,0", "line 3: could not convert string to float: 'abc'"),
+        ("a,T1,1.0,", "line 3: could not convert string to float: ''"),
+    ],
+)
+def test_csv_loader_names_the_line(tmp_path, row, message):
+    from repro.io import load_observations_csv
+
+    path = tmp_path / "claims.csv"
+    path.write_text(f"account_id,task_id,value,timestamp\nb,T1,2.0,1.0\n{row}\n")
+    with pytest.raises(DataValidationError) as info:
+        load_observations_csv(path)
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize(
+    "entry, message",
+    [
+        ({"account_id": "a", "task_id": "T1", "value": 1.0}, "observation 1: missing 'timestamp'"),
+        ({"account_id": "a", "task_id": "T1", "value": "1.0", "timestamp": 0.0},
+         "observation 1: value must be a number, got '1.0'"),
+        ({"account_id": "a", "task_id": "T1", "value": 1.0, "timestamp": True},
+         "observation 1: timestamp must be a number, got True"),
+        ({"account_id": "a", "task_id": "T1", "value": 1.0, "timestamp": -5},
+         "observation 1: timestamp must be non-negative, got -5.0"),
+        (["a", "T1", 1.0, 0.0], "observation 1: expected an object, got ['a', 'T1', 1.0, 0.0]"),
+    ],
+)
+def test_json_loader_names_the_entry(tmp_path, entry, message):
+    import json
+
+    from repro.io import load_dataset_json
+
+    good = {"account_id": "b", "task_id": "T1", "value": 2.0, "timestamp": 1.0}
+    payload = {
+        "format": "repro.dataset",
+        "version": 1,
+        "tasks": [{"task_id": "T1", "location": None, "description": ""}],
+        "observations": [good, entry],
+    }
+    path = tmp_path / "dataset.json"
+    path.write_text(json.dumps(payload))
+    with pytest.raises(DataValidationError) as info:
+        load_dataset_json(path)
+    assert str(info.value) == message
