@@ -24,8 +24,8 @@ Since schema v2 the snapshot also times:
 
 Schema v4 records the ``host`` (CPU count, numpy and scipy versions, platform)
 and times the grouping stages on a ~600-account population scenario in
-the ``pruning`` section: AG-TR with LB_Kim/LB_Keogh pruning and early
-abandoning vs the same code unpruned, and AG-TS's Gram-matrix Eq. 6 vs
+the ``pruning`` section: AG-TR with LB_Kim pruning and early
+abandoning vs the same code with no threshold, and AG-TS's Gram-matrix Eq. 6 vs
 per-pair set arithmetic.  Every run asserts that each pair of outputs
 is identical.  Schema v6 drops the ``workers`` section: every stage
 runs inline in one process.
@@ -312,10 +312,11 @@ def _median_timed(fn, calls: int = LARGE_REPEATS):
 
 
 def time_pruning(dataset) -> Dict[str, Any]:
-    """Algorithmic gains: AG-TR bounds pruning, AG-TS Gram.
+    """Algorithmic gains: AG-TR LB_Kim pruning, AG-TS Gram.
 
-    AG-TR runs the same code with pruning off and on; the entries below
-    phi must be equal and the threshold-graph components identical.
+    AG-TR runs the same code with no threshold (every pair exact) and
+    pruned at phi; the entries below phi must be equal and the
+    threshold-graph components identical.
     AG-TS's Gram-matrix Eq. 6 must equal the per-pair set arithmetic
     exactly.
     """

@@ -2,9 +2,9 @@
 
 These are conventional timing benchmarks (multiple rounds) of the pieces
 whose cost the paper discusses: k-means/elbow (AG-FP's ``O(nkdi)``), the
-quadratic DTW dynamic program (with and without a Sakoe-Chiba band), CRH
-iteration, and the end-to-end framework on a population an order of
-magnitude beyond the paper's 18 accounts.
+quadratic DTW dynamic program, CRH iteration, and the end-to-end
+framework on a population an order of magnitude beyond the paper's 18
+accounts.
 """
 
 import numpy as np
@@ -35,12 +35,6 @@ def test_bench_dtw_unconstrained(benchmark):
     rng = np.random.default_rng(1)
     a, b = rng.normal(size=200), rng.normal(size=200)
     benchmark(dtw_distance, a, b)
-
-
-def test_bench_dtw_banded(benchmark):
-    rng = np.random.default_rng(1)
-    a, b = rng.normal(size=200), rng.normal(size=200)
-    benchmark(dtw_distance, a, b, 10)
 
 
 def test_bench_kmeans_200x20(benchmark):
@@ -119,7 +113,5 @@ def test_bench_pruned_dtw_matrix(benchmark):
     series += [template + rng.normal(40, 5, size=50) for _ in range(20)]
     trajectories = [(s, np.zeros(1)) for s in series]
     benchmark(
-        lambda: pairwise_trajectory_dissimilarity(
-            trajectories, window=5, prune_threshold=10.0
-        )
+        lambda: pairwise_trajectory_dissimilarity(trajectories, prune_threshold=10.0)
     )

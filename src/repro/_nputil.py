@@ -1,48 +1,8 @@
-"""Internal numpy helpers: the shared numerical floor and quiet NaN-aggregations.
-
-Tasks nobody answered produce all-NaN columns in the dense observation
-matrix; ``np.nanmean``/``np.nanstd`` handle them correctly (returning
-NaN) but emit ``RuntimeWarning: Mean of empty slice``, which pollutes
-experiment output.  These wrappers silence exactly that warning class for
-exactly those calls — nothing else is suppressed.
-"""
+"""Internal numpy helpers: the shared numerical floor."""
 
 from __future__ import annotations
-
-import warnings
-from typing import Optional
-
-import numpy as np
 
 #: Numerical floor shared across the library: keeps logarithms and
 #: divisions finite when a distance, spread, or weight mass is exactly
 #: zero (e.g. a source agreeing perfectly with every truth estimate).
 EPS = 1e-12
-
-
-def nanmean_quiet(values: np.ndarray, axis: Optional[int] = None) -> np.ndarray:
-    """``np.nanmean`` that returns NaN for empty slices without warning."""
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", category=RuntimeWarning)
-        return np.nanmean(values, axis=axis)
-
-
-def nanstd_quiet(values: np.ndarray, axis: Optional[int] = None) -> np.ndarray:
-    """``np.nanstd`` that returns NaN for empty slices without warning."""
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", category=RuntimeWarning)
-        return np.nanstd(values, axis=axis)
-
-
-def nanmedian_quiet(values: np.ndarray, axis: Optional[int] = None) -> np.ndarray:
-    """``np.nanmedian`` that returns NaN for empty slices without warning."""
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", category=RuntimeWarning)
-        return np.nanmedian(values, axis=axis)
-
-
-def nanminmax_quiet(values: np.ndarray, axis: Optional[int] = None):
-    """``(np.nanmin, np.nanmax)`` without all-NaN warnings."""
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", category=RuntimeWarning)
-        return np.nanmin(values, axis=axis), np.nanmax(values, axis=axis)

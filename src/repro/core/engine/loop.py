@@ -148,7 +148,9 @@ def run_convergence_loop(
         Subject of the strict-mode error message ("truth discovery did
         not converge …" / "framework did not converge …").
     """
-    values, row_idx, col_idx = matrix.values, matrix.row_idx, matrix.col_idx
+    # Claims in content order: per-column sums then do not depend on the
+    # row numbering, and per-row sums still run in column order.
+    values, row_idx, col_idx = matrix.content_claims()
     spreads = matrix.spreads if normalize else None
     update = (
         segment_weighted_truths

@@ -10,7 +10,10 @@ arrays
 
 sorted by ``(row, col)``, so every per-source or per-task aggregate is a
 segment-sum (``np.bincount``) instead of a Python loop.  A dataset's
-matrix is compiled from its claim store at most once.  The iteration
+matrix is compiled from its claim store at most once.  Per-task sums are
+taken over :meth:`ClaimMatrix.content_claims`, an order set by the claims
+and not by how the rows are numbered, so renaming or reordering the
+accounts leaves every truth bit-identical.  The iteration
 kernels in :mod:`repro.core.engine.kernels` and the shared convergence
 loop in :mod:`repro.core.engine.loop` operate exclusively on this layout.
 
@@ -66,6 +69,7 @@ class ClaimMatrix:
         "_spreads",
         "_col_order",
         "_col_indptr",
+        "_content_claims",
     )
 
     def __init__(
@@ -95,6 +99,7 @@ class ClaimMatrix:
         self._spreads: Optional[np.ndarray] = None
         self._col_order: Optional[np.ndarray] = None
         self._col_indptr: Optional[np.ndarray] = None
+        self._content_claims: Optional[Tuple[np.ndarray, ...]] = None
 
     # ------------------------------------------------------------------
     # Construction
@@ -163,10 +168,40 @@ class ClaimMatrix:
         if self._spreads is None:
             from repro.core.engine.kernels import column_spreads
 
-            self._spreads = column_spreads(
-                self.values, self.col_idx, self.n_cols
-            )
+            values, _, col_idx = self.content_claims()
+            self._spreads = column_spreads(values, col_idx, self.n_cols)
         return self._spreads
+
+    def content_claims(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(values, row_idx, col_idx)`` with the rows in the order of their claims.
+
+        Rows are sorted by their ``(col, value)`` claim sequences, compared
+        as raw bytes; a row's claims stay in column order.  Floating-point
+        addition is not associative, so a per-column sum depends on the
+        order of its terms: summed in this order it depends only on which
+        claims the matrix holds, not on the row numbering.  Rows that tie
+        hold identical claims, so their relative order changes no sum.
+        """
+        if self._content_claims is None:
+            counts = self.claim_counts_by_row
+            indptr = np.concatenate(([0], np.cumsum(counts)))
+            records = np.empty((self.nnz, 2), dtype=np.int64)
+            records[:, 0] = self.col_idx
+            records[:, 1] = self.values.view(np.int64)
+            blob = records.tobytes()
+            bounds = (indptr * records.itemsize * 2).tolist()
+            keys = [blob[lo:hi] for lo, hi in zip(bounds[:-1], bounds[1:])]
+            rows = np.array(
+                sorted(range(self.n_rows), key=keys.__getitem__), dtype=np.intp
+            )
+            lengths = counts[rows]
+            starts = np.cumsum(lengths) - lengths
+            order = np.arange(self.nnz) + np.repeat(indptr[rows] - starts, lengths)
+            claims = (self.values[order], self.row_idx[order], self.col_idx[order])
+            for array in claims:
+                array.flags.writeable = False
+            self._content_claims = claims
+        return self._content_claims
 
     def _column_slices(self) -> Tuple[np.ndarray, np.ndarray]:
         """CSC view: a permutation sorting claims by column + boundaries.
@@ -189,7 +224,8 @@ class ClaimMatrix:
     def column_means(self) -> np.ndarray:
         """Per-column claim mean; ``NaN`` for claim-less columns."""
         counts = self.claim_counts_by_col
-        sums = np.bincount(self.col_idx, weights=self.values, minlength=self.n_cols)
+        values, _, col_idx = self.content_claims()
+        sums = np.bincount(col_idx, weights=values, minlength=self.n_cols)
         with np.errstate(invalid="ignore", divide="ignore"):
             means = sums / counts
         return np.where(counts > 0, means, np.nan)

@@ -13,7 +13,7 @@ computed with dynamic time warping so series of different lengths compare
 naturally.  Pairs strictly below the threshold ``phi`` become graph edges;
 DFS connected components are the groups.
 
-Two practical knobs, both matching the paper's Fig. 4 numbers:
+Two conventions, both matching the paper's Fig. 4 numbers:
 
 * DTW is used in its *unnormalized* total-cost form — the walkthrough
   matrices (e.g. ``DTW(X_1, X_2) = 2``) are raw accumulated costs, not the
@@ -25,7 +25,6 @@ Two practical knobs, both matching the paper's Fig. 4 numbers:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
@@ -35,49 +34,22 @@ from repro.core.grouping.base import AccountGrouper
 from repro.core.types import AccountId, Grouping
 from repro.graph.threshold import graph_from_dissimilarity, groups_from_components
 from repro.obs import MetricsRegistry, get_metrics, get_tracer, set_metrics
-from repro.timeseries.bounds import lb_kim_pairs, pair_lower_bound
-from repro.timeseries.dtw import dtw_costs, dtw_distance
+from repro.timeseries.bounds import lb_kim_pairs
+from repro.timeseries.dtw import dtw_costs
 
 #: Seconds per hour — the default timestamp rescaling.
 SECONDS_PER_HOUR = 3600.0
 
 
-@dataclass(frozen=True)
-class PairwiseStats:
-    """How AG-TR scoring disposed of its account pairs.
-
-    Attributes
-    ----------
-    computed:
-        Pairs whose score was fully evaluated.
-    pruned:
-        Pairs skipped by a :mod:`repro.timeseries.bounds` lower bound.
-    shortcut:
-        Pairs abandoned after the first of the two Eq. 8 DTW terms
-        already reached the threshold.
-    """
-
-    computed: int = 0
-    pruned: int = 0
-    shortcut: int = 0
-
-    @property
-    def total(self) -> int:
-        return self.computed + self.pruned + self.shortcut
-
-
 def pairwise_trajectory_dissimilarity(
     trajectories: Sequence[Tuple[np.ndarray, np.ndarray]],
-    window: Optional[int] = None,
-    normalized: bool = False,
     prune_threshold: Optional[float] = None,
-) -> Tuple[np.ndarray, PairwiseStats]:
+) -> np.ndarray:
     """The full symmetric Eq. 8 dissimilarity matrix over all pairs.
 
     The upper-triangular pairs are scored with whole-array work: LB_Kim
-    for every pair at once (re-bounded with LB_Keogh, pair by pair, only
-    for the banded pairs LB_Kim leaves below ``phi``), then one batched
-    DTW per Eq. 8 term over the pairs still standing
+    for every pair at once, then one batched DTW per Eq. 8 term over the
+    pairs LB_Kim leaves below ``phi``
     (:func:`repro.timeseries.dtw.dtw_costs`), the timestamp term
     budgeted at what the task term leaves below ``phi``.  Both cuts only
     ever replace values that could not have produced an edge, so the
@@ -92,23 +64,21 @@ def pairwise_trajectory_dissimilarity(
         Accounts with empty series yield ``NaN`` rows/columns; an
         account's two series must be both empty or both non-empty
         (``ValueError`` otherwise).
-    window, normalized:
-        Forwarded to :func:`repro.timeseries.dtw.dtw_distance`.
     prune_threshold:
-        The AG-TR edge threshold ``phi``.  When given (and the raw
-        unnormalized cost form is in use) pairs provably at or above the
-        threshold are recorded as ``inf`` instead of fully computed.
-        ``None`` computes every pair exactly.
+        The AG-TR edge threshold ``phi``: pairs provably at or above it
+        are recorded as ``inf`` instead of fully computed.  ``None``
+        (an infinite threshold) computes every pair exactly.
 
     Returns
     -------
-    (matrix, stats):
-        The score matrix and the computed/pruned/shortcut disposition
-        counts.  The counts also feed the ``dtw.pairs_computed`` /
-        ``dtw.pairs_pruned`` / ``dtw.pairs_shortcut`` metrics; the
-        ``dtw.cells`` observations are recorded in the pair loop's call
-        order (each pair's task term, then its timestamp term).
+    matrix:
+        The score matrix of raw DTW costs.  The pair dispositions feed
+        the ``dtw.pairs_computed`` / ``dtw.pairs_pruned`` /
+        ``dtw.pairs_shortcut`` counters; the ``dtw.cells`` observations
+        are recorded in pair order (each pair's task term, then its
+        timestamp term).
     """
+    threshold = np.inf if prune_threshold is None else prune_threshold
     xs = [np.asarray(x, dtype=float) for x, _ in trajectories]
     ys = [np.asarray(y, dtype=float) for _, y in trajectories]
     for k, (x, y) in enumerate(zip(xs, ys)):
@@ -121,60 +91,35 @@ def pairwise_trajectory_dissimilarity(
     sizes = np.array([len(x) for x in xs], dtype=np.int64)
     live = (sizes[i] > 0) & (sizes[j] > 0)
     out = np.full(len(i), np.nan)
-    pruned = shortcut = 0
 
     def pairs(series, keep):
         return [series[a] for a in i[keep].tolist()], [series[b] for b in j[keep].tolist()]
 
     # The kernels record their dtw.* counts here; dtw.cells is recorded
-    # below in the pair loop's order instead of the batches' order.
+    # below in pair order instead of the batches' order.
     scratch = MetricsRegistry()
     previous = set_metrics(scratch)
     try:
-        todo = np.flatnonzero(live)
-        second_ran = np.ones(len(todo), dtype=bool)
-        if normalized:
-            out[todo] = [
-                dtw_distance(xs[a], xs[b], window=window, normalized=True)
-                + dtw_distance(ys[a], ys[b], window=window, normalized=True)
-                for a, b in zip(i[todo].tolist(), j[todo].tolist())
-            ]
-        elif prune_threshold is None:
-            out[todo] = dtw_costs(*pairs(xs, todo), window) + dtw_costs(
-                *pairs(ys, todo), window
-            )
-        else:
-            threshold = prune_threshold
-            bound = lb_kim_pairs(xs, i, j)
-            bound += lb_kim_pairs(ys, i, j)
-            if window is not None:
-                # LB_Keogh only ever raises a bound, so pairs LB_Kim
-                # already puts at phi stay pruned without it.
-                for t in np.flatnonzero(bound < threshold).tolist():
-                    a, b = i[t], j[t]
-                    bound[t] = pair_lower_bound(xs[a], xs[b], window) + pair_lower_bound(
-                        ys[a], ys[b], window
-                    )
-            cut = bound >= threshold
-            out[cut] = np.inf
-            pruned = int(cut.sum())
-            todo = np.flatnonzero(live & ~cut)
-            out[todo] = np.inf
-            partial = dtw_costs(*pairs(xs, todo), window, abandon=threshold)
-            second_ran = partial < threshold
-            # The timestamp term may early-abandon at the *remaining*
-            # budget: a total >= phi can never form a < phi edge.
-            second = dtw_costs(
-                *pairs(ys, todo[second_ran]),
-                window,
-                abandon=threshold - partial[second_ran],
-            )
-            finite = ~np.isinf(second)
-            out[todo[second_ran][finite]] = partial[second_ran][finite] + second[finite]
-            shortcut = len(todo) - int(finite.sum())
+        bound = lb_kim_pairs(xs, i, j)
+        bound += lb_kim_pairs(ys, i, j)
+        cut = bound >= threshold
+        out[cut] = np.inf
+        pruned = int(cut.sum())
+        todo = np.flatnonzero(live & ~cut)
+        out[todo] = np.inf
+        partial = dtw_costs(*pairs(xs, todo), abandon=threshold)
+        second_ran = partial < threshold
+        # The timestamp term may early-abandon at the *remaining*
+        # budget: a total >= phi can never form a < phi edge.
+        second = dtw_costs(
+            *pairs(ys, todo[second_ran]), abandon=threshold - partial[second_ran]
+        )
+        finite = ~np.isinf(second)
+        out[todo[second_ran][finite]] = partial[second_ran][finite] + second[finite]
     finally:
         set_metrics(previous)
-    stats = PairwiseStats(len(todo) - shortcut, pruned, shortcut)
+    computed = int(finite.sum())
+    shortcut = len(todo) - computed
     matrix = np.zeros((n, n))
     matrix[i, j] = out
     matrix[j, i] = out
@@ -189,30 +134,25 @@ def pairwise_trajectory_dissimilarity(
     histogram = metrics.histogram("dtw.cells")
     for observed in cells[cells >= 0].tolist():
         histogram.observe(observed)
-    metrics.counter("dtw.pairs_computed").inc(stats.computed)
-    metrics.counter("dtw.pairs_pruned").inc(stats.pruned)
-    metrics.counter("dtw.pairs_shortcut").inc(stats.shortcut)
-    if stats.total:
-        metrics.gauge("dtw.prune_hit_rate").set(
-            (stats.pruned + stats.shortcut) / stats.total
-        )
-    return matrix, stats
+    metrics.counter("dtw.pairs_computed").inc(computed)
+    metrics.counter("dtw.pairs_pruned").inc(pruned)
+    metrics.counter("dtw.pairs_shortcut").inc(shortcut)
+    scored = len(todo) + pruned
+    if scored:
+        metrics.gauge("dtw.prune_hit_rate").set((pruned + shortcut) / scored)
+    return matrix
 
 
 def trajectory_dissimilarity_matrix(
     dataset: SensingDataset,
     accounts: Optional[Sequence[AccountId]] = None,
     timestamp_scale: float = SECONDS_PER_HOUR,
-    normalized: bool = False,
-    window: Optional[int] = None,
     prune_threshold: Optional[float] = None,
 ) -> Tuple[Tuple[AccountId, ...], np.ndarray]:
     """Pairwise Eq. 8 dissimilarities over the dataset's accounts.
 
     The pair space is scored by
-    :func:`pairwise_trajectory_dissimilarity`, which uses the
-    :mod:`repro.timeseries.bounds` lower bounds when ``prune_threshold``
-    is given.
+    :func:`pairwise_trajectory_dissimilarity`.
 
     Parameters
     ----------
@@ -223,16 +163,11 @@ def trajectory_dissimilarity_matrix(
     timestamp_scale:
         Divisor applied to raw timestamps (seconds) before DTW; the
         default converts to hours as in the paper's walkthrough.
-    normalized:
-        If true use the path-length-normalized Eq. 7 distance instead of
-        the raw total cost (the walkthrough uses raw costs).
-    window:
-        Optional Sakoe-Chiba band for long trajectories.
     prune_threshold:
-        The AG-TR edge threshold ``phi``; when given (raw cost form
-        only) pairs provably at or above it are recorded as ``inf``
-        without running the full dynamic program — the strict ``< phi``
-        threshold graph is unchanged.
+        The AG-TR edge threshold ``phi``; when given, pairs provably at
+        or above it are recorded as ``inf`` without running the full
+        dynamic program — the strict ``< phi`` threshold graph is
+        unchanged.  ``None`` computes every pair exactly.
 
     Returns
     -------
@@ -253,13 +188,7 @@ def trajectory_dissimilarity_matrix(
         trajectories.append((xs, ys / timestamp_scale))
     n = len(order)
     get_metrics().counter("agtr.pairs_scored").inc(n * (n - 1) // 2)
-    matrix, _ = pairwise_trajectory_dissimilarity(
-        trajectories,
-        window=window,
-        normalized=normalized,
-        prune_threshold=prune_threshold,
-    )
-    return order, matrix
+    return order, pairwise_trajectory_dissimilarity(trajectories, prune_threshold)
 
 
 class TrajectoryGrouper(AccountGrouper):
@@ -273,29 +202,19 @@ class TrajectoryGrouper(AccountGrouper):
         walkthrough value.
     timestamp_scale:
         Timestamp rescaling divisor (default: seconds → hours).
-    normalized:
-        Use Eq. 7 normalized DTW instead of raw total cost.
-    window:
-        Optional Sakoe-Chiba band half-width.
-    prune:
-        Skip pairs whose :mod:`repro.timeseries.bounds`
-        lower bound already reaches ``threshold`` (raw cost form only;
-        the resulting grouping is provably unchanged).  Default on.
+
+    Pairs whose :mod:`repro.timeseries.bounds` lower bound or partial
+    DTW cost already reaches ``threshold`` are skipped; the grouping is
+    provably that of the exact matrix.
     """
 
     def __init__(
         self,
         threshold: float = 1.0,
         timestamp_scale: float = SECONDS_PER_HOUR,
-        normalized: bool = False,
-        window: Optional[int] = None,
-        prune: bool = True,
     ):
         self.threshold = threshold
         self.timestamp_scale = timestamp_scale
-        self.normalized = normalized
-        self.window = window
-        self.prune = prune
 
     def group(
         self,
@@ -315,9 +234,7 @@ class TrajectoryGrouper(AccountGrouper):
                 order, matrix = trajectory_dissimilarity_matrix(
                     dataset,
                     timestamp_scale=self.timestamp_scale,
-                    normalized=self.normalized,
-                    window=self.window,
-                    prune_threshold=self.threshold if self.prune else None,
+                    prune_threshold=self.threshold,
                 )
             with tracer.span("grouping.threshold_graph"):
                 graph = graph_from_dissimilarity(list(order), matrix, self.threshold)

@@ -29,6 +29,7 @@ this class is a thin adapter between :class:`SensingDataset` in and
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Mapping, Optional, Tuple
 
@@ -53,7 +54,6 @@ __all__ = [
     "WeightFunction",
     "crh_log_weights",
     "exponential_weights",
-    "normalized_squared_distance",
     "reciprocal_weights",
     "weighted_median",
 ]
@@ -65,10 +65,11 @@ def crh_log_weights(distances: np.ndarray) -> np.ndarray:
     This is the weight functional of the CRH framework (Li et al.,
     SIGMOD 2014), obtained as the closed-form solution of CRH's joint
     optimization.  Sources whose claims sit exactly on the truths get the
-    weight of an ``EPS`` distance — large but finite.
+    weight of an ``EPS`` distance — large but finite.  The total is summed
+    exactly (``math.fsum``), so it does not depend on the source order.
     """
     distances = np.maximum(np.asarray(distances, dtype=float), EPS)
-    total = distances.sum()
+    total = math.fsum(distances.tolist())
     if total <= 0:
         return np.ones_like(distances)
     weights = np.log(total / distances)
@@ -159,17 +160,6 @@ def weighted_median(values: np.ndarray, weights: np.ndarray) -> float:
     index = int(np.searchsorted(cumulative, total / 2.0))
     index = min(index, len(values) - 1)
     return float(values[order][index])
-
-
-def normalized_squared_distance(
-    values: np.ndarray, truth: float, spread: float
-) -> np.ndarray:
-    """Per-claim distance ``(v - d_j)^2 / spread_j`` used by CRH.
-
-    Normalizing by the task's claim spread keeps tasks with large natural
-    scales (or high disagreement) from dominating the weight update.
-    """
-    return (values - truth) ** 2 / max(spread, EPS)
 
 
 class IterativeTruthDiscovery:

@@ -120,25 +120,52 @@ def save_dataset_json(dataset: SensingDataset, path: PathLike) -> None:
     pathlib.Path(path).write_text(json.dumps(payload, indent=2))
 
 
+def _json_payload(path: PathLike, kind: str, lists: Sequence[str]) -> Dict:
+    """The top-level object of a ``repro.<kind>`` JSON file.
+
+    Raises :class:`DataValidationError` unless it is an object of that
+    format whose ``lists`` keys each hold a JSON list.
+    """
+    payload = json.loads(pathlib.Path(path).read_text())
+    if not isinstance(payload, dict):
+        raise DataValidationError(
+            f"not a repro {kind} file: expected an object, got {type(payload).__name__}"
+        )
+    if payload.get("format") != f"repro.{kind}":
+        raise DataValidationError(
+            f"not a repro {kind} file: format={payload.get('format')!r}"
+        )
+    for key in lists:
+        if key not in payload:
+            raise DataValidationError(f"repro {kind} file: missing {key!r}")
+        if not isinstance(payload[key], list):
+            raise DataValidationError(
+                f"repro {kind} file: {key!r} must be a list, got {payload[key]!r}"
+            )
+    return payload
+
+
 def load_dataset_json(path: PathLike) -> SensingDataset:
     """Read a dataset written by :func:`save_dataset_json`."""
-    payload = json.loads(pathlib.Path(path).read_text())
-    if payload.get("format") != "repro.dataset":
-        raise DataValidationError(
-            f"not a repro dataset file: format={payload.get('format')!r}"
-        )
-    tasks = [
-        Task(
-            task_id=entry["task_id"],
-            location=tuple(entry["location"]) if entry.get("location") else None,
-            description=entry.get("description", ""),
-        )
-        for entry in payload["tasks"]
-    ]
+    payload = _json_payload(path, "dataset", ("tasks", "observations"))
+    tasks = [_task_entry(k, entry) for k, entry in enumerate(payload["tasks"])]
     observations = [
         _observation_entry(k, entry) for k, entry in enumerate(payload["observations"])
     ]
     return SensingDataset(tasks, observations)
+
+
+def _task_entry(k: int, entry: Dict) -> Task:
+    """Task ``k`` of a dataset file; only its ``task_id`` is required."""
+    if not isinstance(entry, dict):
+        raise DataValidationError(f"task {k}: expected an object, got {entry!r}")
+    if "task_id" not in entry:
+        raise DataValidationError(f"task {k}: missing 'task_id'")
+    return Task(
+        task_id=entry["task_id"],
+        location=tuple(entry["location"]) if entry.get("location") else None,
+        description=entry.get("description", ""),
+    )
 
 
 def _observation_entry(k: int, entry: Dict) -> Observation:
@@ -178,12 +205,7 @@ def save_grouping_json(grouping: Grouping, path: PathLike) -> None:
 
 def load_grouping_json(path: PathLike) -> Grouping:
     """Read a grouping written by :func:`save_grouping_json`."""
-    payload = json.loads(pathlib.Path(path).read_text())
-    if payload.get("format") != "repro.grouping":
-        raise DataValidationError(
-            f"not a repro grouping file: format={payload.get('format')!r}"
-        )
-    return Grouping.from_groups(payload["groups"])
+    return Grouping.from_groups(_json_payload(path, "grouping", ("groups",))["groups"])
 
 
 # ----------------------------------------------------------------------

@@ -3,32 +3,25 @@
 AG-TR computes a quadratic number of DTW costs over accounts, each an
 O(m·n) dynamic program.  The classic accelerator (Keogh &
 Ratanamahatana, the paper's DTW reference line of work) is a *lower
-bound* computable in linear time:
+bound* computable in constant time: :func:`lb_kim` takes the first and
+last points, and :func:`lb_kim_pairs` evaluates it for a whole range of
+pairs at once.
 
-* :func:`lb_kim` — constant-time bound from the first and last points;
-  :func:`lb_kim_pairs` evaluates it for a whole range of pairs at once;
-* :func:`lb_keogh` — the envelope bound: slide a Sakoe-Chiba window over
-  the candidate, build upper/lower envelopes, and sum the squared
-  excursions of the query outside the envelope.
-
-Because both bound the *raw accumulated* DTW cost from below, a pair
+Because it bounds the *raw accumulated* DTW cost from below, a pair
 whose bound already reaches AG-TR's threshold ``phi`` can be skipped
 without running the dynamic program — the grouping result is
 unchanged.  AG-TR's pair scoring
 (:func:`~repro.core.grouping.trajectory.pairwise_trajectory_dissimilarity`)
-bounds every pair with :func:`lb_kim_pairs`, and re-bounds the pairs it
-leaves below ``phi`` with :func:`pair_lower_bound` (which adds
-:func:`lb_keogh` for equal lengths) when a band is set.  On the
-~600-account population scenario LB_Kim alone leaves 412 of 179,700
-pairs for the dynamic program.
+bounds every pair with :func:`lb_kim_pairs`.  On the ~600-account
+population scenario it leaves 412 of 179,700 pairs for the dynamic
+program.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Sequence, Tuple
+from typing import Sequence
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 
 def _as_series(values: Sequence[float], name: str) -> np.ndarray:
@@ -53,58 +46,6 @@ def lb_kim(a: Sequence[float], b: Sequence[float]) -> float:
     return float(lb_kim_pairs(pair, np.array([0]), np.array([1]))[0])
 
 
-def envelope(
-    series: Sequence[float], window: int
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Sakoe-Chiba upper/lower envelopes of a series.
-
-    ``upper[i] = max(series[i-w : i+w+1])`` and symmetrically for the
-    lower envelope, with the slices truncated at the ends.  Computed as
-    sliding windows over the series padded with ``-inf`` (``+inf`` for
-    the lower envelope), which never win the max (min), so each value
-    is the truncated slice's exactly.
-    """
-    arr = _as_series(series, "series")
-    if window < 0:
-        raise ValueError(f"window must be non-negative, got {window}")
-    # A half-width past the series covers all of it from every point.
-    width = min(window, len(arr) - 1)
-
-    def windows(fill: float) -> np.ndarray:
-        padded = np.pad(arr, width, constant_values=fill)
-        return sliding_window_view(padded, 2 * width + 1)
-
-    return windows(np.inf).min(axis=1), windows(-np.inf).max(axis=1)
-
-
-def lb_keogh(
-    query: Sequence[float], candidate: Sequence[float], window: int
-) -> float:
-    """LB_Keogh lower bound on the banded raw DTW cost.
-
-    Valid for equal-length series under a Sakoe-Chiba band of half-width
-    ``window``: every query point must align with some candidate point
-    inside its window, so its squared distance to the candidate's
-    envelope is unavoidable.
-
-    Raises
-    ------
-    ValueError
-        If the series lengths differ (the bound is only defined there;
-        AG-TR series of unequal length skip the bound).
-    """
-    q = _as_series(query, "query")
-    c = _as_series(candidate, "candidate")
-    if len(q) != len(c):
-        raise ValueError(
-            f"LB_Keogh requires equal lengths, got {len(q)} and {len(c)}"
-        )
-    lower, upper = envelope(c, window)
-    above = np.maximum(q - upper, 0.0)
-    below = np.maximum(lower - q, 0.0)
-    return float((above**2 + below**2).sum())
-
-
 def lb_kim_pairs(
     series: Sequence[np.ndarray], i: np.ndarray, j: np.ndarray
 ) -> np.ndarray:
@@ -127,20 +68,4 @@ def lb_kim_pairs(
     # Two one-point series: the first and last aligned pairs are the same
     # matrix cell; counting it twice would overshoot the true cost.
     np.add(bound, gap, out=bound, where=(sizes[i] > 1) | (sizes[j] > 1))
-    return bound
-
-
-def pair_lower_bound(
-    a: Sequence[float], b: Sequence[float], window: Optional[int] = None
-) -> float:
-    """The tightest applicable lower bound on the raw DTW cost of a pair.
-
-    Always includes :func:`lb_kim`; adds :func:`lb_keogh` when it is
-    defined (equal lengths under an explicit Sakoe-Chiba band).  Since
-    the bound never exceeds the true cost, pruning at the AG-TR
-    threshold cannot change the threshold graph.
-    """
-    bound = lb_kim(a, b)
-    if window is not None and len(a) == len(b):
-        bound = max(bound, lb_keogh(a, b, window))
     return bound

@@ -18,10 +18,6 @@ anti-diagonal of padded tables per numpy step.  The optimal path (and
 hence its length ``K``) is recovered by backtracking.  As is standard, the dynamic
 program minimizes the *total* path cost and the result is normalized by
 that path's length; this matches the paper's dynamic-programming recipe.
-
-A Sakoe-Chiba band (``window``) optionally constrains ``|i - j|`` to bound
-the quadratic cost on long series; ``window=None`` (default, used by the
-paper's examples) is the unconstrained DP.
 """
 
 from __future__ import annotations
@@ -43,11 +39,6 @@ def _as_series(values: Sequence[float], name: str) -> np.ndarray:
 #: Padded cells per block of the batched dynamic program: 2**18 float64
 #: cells is 2 MiB per table, so batch size never shows in peak memory.
 _BLOCK_CELLS = 1 << 18
-
-
-def _check_window(window: Optional[int]) -> None:
-    if window is not None and window < 0:
-        raise ValueError(f"window must be non-negative, got {window}")
 
 
 def _blocks(rows: np.ndarray, cols: np.ndarray) -> Iterator[np.ndarray]:
@@ -86,16 +77,13 @@ def _padded(series: Sequence[np.ndarray], sizes: np.ndarray) -> np.ndarray:
 def _cost_tables(
     a_series: Sequence[np.ndarray],
     b_series: Sequence[np.ndarray],
-    window: Optional[int],
 ) -> np.ndarray:
     """Cumulative cost tables of a block of pairs, shape ``(M+1, N+1, P)``.
 
     ``M``/``N`` are the block's longest ``a``/``b`` series.  Entry
     ``[i, j, p]`` is ``r(i, j)`` of pair ``p`` with the usual infinite
-    border, and ``inf`` outside the pair's Sakoe-Chiba band (widened to
-    ``|m - n|`` so the band connects ``(1,1)`` to ``(m,n)``).  Cell
-    ``(i, j)`` reads only cells at or before it, so the zero padding past
-    a pair's own lengths never reaches ``[m, n, p]``.
+    border.  Cell ``(i, j)`` reads only cells at or before it, so the
+    zero padding past a pair's own lengths never reaches ``[m, n, p]``.
 
     The program runs one anti-diagonal ``i + j = d`` at a time for the
     whole block: in the row-major flattened table the diagonal and its
@@ -111,11 +99,6 @@ def _cost_tables(
     inner = dist[1:, 1:]
     np.subtract(a[:, np.newaxis, :], b[np.newaxis, :, :], out=inner)
     np.square(inner, out=inner)
-    if window is not None:
-        band = np.maximum(window, np.abs(rows - cols))
-        offset = np.abs(np.arange(m)[:, np.newaxis] - np.arange(n)[np.newaxis, :])
-        # inf + min(...) is inf: cells outside the band stay unreachable.
-        np.copyto(inner, np.inf, where=offset[:, :, np.newaxis] > band)
     dist = dist.reshape(-1, pairs)
     cost = np.full(((m + 1) * (n + 1), pairs), np.inf)
     cost[0] = 0.0
@@ -130,9 +113,7 @@ def _cost_tables(
     return cost.reshape(m + 1, n + 1, pairs)
 
 
-def warping_path(
-    a: Sequence[float], b: Sequence[float], window: Optional[int] = None
-) -> Tuple[List[Tuple[int, int]], float]:
+def warping_path(a: Sequence[float], b: Sequence[float]) -> Tuple[List[Tuple[int, int]], float]:
     """The optimal warping path and its total (un-normalized) cost.
 
     Returns
@@ -149,8 +130,7 @@ def warping_path(
     arr_b = _as_series(b, "b")
     if len(arr_a) == 0 or len(arr_b) == 0:
         raise ValueError("DTW is undefined for empty series")
-    _check_window(window)
-    cost = _cost_tables([arr_a], [arr_b], window)[:, :, 0]
+    cost = _cost_tables([arr_a], [arr_b])[:, :, 0]
     i, j = len(arr_a), len(arr_b)
     path: List[Tuple[int, int]] = []
     while i > 0 or j > 0:
@@ -172,7 +152,6 @@ def warping_path(
 def dtw_distance(
     a: Sequence[float],
     b: Sequence[float],
-    window: Optional[int] = None,
     normalized: bool = True,
 ) -> float:
     """DTW distance between two series per Eq. 7.
@@ -182,8 +161,6 @@ def dtw_distance(
     a, b:
         The two numeric series; they may differ in length (the reason the
         paper picks DTW over lockstep distances).
-    window:
-        Optional Sakoe-Chiba band half-width.
     normalized:
         If true (default, the paper's definition) return
         ``sqrt(total_cost / K)`` where ``K`` is the optimal path length;
@@ -193,7 +170,7 @@ def dtw_distance(
     metrics = get_metrics()
     metrics.counter("dtw.calls").inc()
     metrics.histogram("dtw.cells").observe(len(a) * len(b))
-    path, total = warping_path(a, b, window=window)
+    path, total = warping_path(a, b)
     if not normalized:
         return total
     return float(np.sqrt(total / len(path)))
@@ -202,7 +179,6 @@ def dtw_distance(
 def dtw_costs(
     a_series: Sequence[Sequence[float]],
     b_series: Sequence[Sequence[float]],
-    window: Optional[int] = None,
     abandon: Union[float, Sequence[float], None] = None,
 ) -> np.ndarray:
     """Raw accumulated DTW costs of many pairs — Eq. 8's summands.
@@ -234,16 +210,13 @@ def dtw_costs(
     cols = np.array([len(b) for b in b_list], dtype=np.int64)
     if (rows == 0).any() or (cols == 0).any():
         raise ValueError("DTW is undefined for empty series")
-    _check_window(window)
     budgets = np.full(len(a_list), np.nan)
     if abandon is not None:
         budgets[:] = abandon
     costs = np.empty(len(a_list))
     abandoned = np.zeros(len(a_list), dtype=bool)
     for block in _blocks(rows, cols):
-        tables = _cost_tables(
-            [a_list[p] for p in block], [b_list[p] for p in block], window
-        )
+        tables = _cost_tables([a_list[p] for p in block], [b_list[p] for p in block])
         m, n = rows[block], cols[block]
         costs[block] = tables[m, n, np.arange(len(block))]
         if not np.isnan(budgets[block]).all():
@@ -267,7 +240,6 @@ def dtw_costs(
 def dtw_cost(
     a: Sequence[float],
     b: Sequence[float],
-    window: Optional[int] = None,
     abandon: Optional[float] = None,
 ) -> float:
     """Raw accumulated DTW cost of one pair, skipping path recovery.
@@ -277,4 +249,4 @@ def dtw_cost(
     optional ``abandon`` budget is exhausted by a completed DP row.
     """
     budget = None if abandon is None else [abandon]
-    return float(dtw_costs([a], [b], window=window, abandon=budget)[0])
+    return float(dtw_costs([a], [b], abandon=budget)[0])

@@ -16,7 +16,7 @@ from typing import Dict, List, Tuple
 import numpy as np
 import pytest
 
-from repro._nputil import EPS, nanstd_quiet
+from repro._nputil import EPS
 from repro.core.dataset import SensingDataset
 from repro.core.engine import (
     ClaimMatrix,
@@ -79,6 +79,13 @@ def random_dataset(
 # ----------------------------------------------------------------------
 
 
+def _nanstd(values, axis):
+    """``np.nanstd``: NaN for an all-NaN column, without its warning."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        return np.nanstd(values, axis=axis)
+
+
 def reference_crh(
     dataset: SensingDataset,
     convergence: ConvergencePolicy = ConvergencePolicy(),
@@ -90,7 +97,7 @@ def reference_crh(
     with np.errstate(invalid="ignore"), warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
         truths = np.nanmean(np.where(answered, matrix, np.nan), axis=0)
-    spreads = nanstd_quiet(matrix, axis=0)
+    spreads = _nanstd(matrix, axis=0)
     spreads = np.where(np.isnan(spreads) | (spreads < EPS), 1.0, spreads)
 
     iterations = 0
@@ -158,7 +165,7 @@ def reference_framework(
         else:
             truths[j] = float(np.mean(list(vals.values())))
 
-    spreads = nanstd_quiet(np.where(answered, values, np.nan), axis=0)
+    spreads = _nanstd(np.where(answered, values, np.nan), axis=0)
     spreads = np.where(np.isnan(spreads) | (spreads < EPS), 1.0, spreads)
     convergence = ConvergencePolicy(max_iterations=100)
     iterations = 0

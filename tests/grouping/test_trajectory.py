@@ -9,6 +9,7 @@ from repro.core.grouping.trajectory import (
     trajectory_dissimilarity_matrix,
 )
 from repro.experiments.paperdata import TABLE1_ACCOUNTS, paper_example_dataset
+from repro.graph.threshold import graph_from_dissimilarity, groups_from_components
 from repro.obs import get_metrics
 from repro.timeseries.dtw import dtw_distance
 
@@ -95,15 +96,6 @@ class TestDissimilarityMatrix:
         reference = _serial_dissimilarity_reference(dataset)
         assert np.array_equal(reference, matrix, equal_nan=True)
 
-    def test_normalized_variant_differs_and_stays_nonnegative(self):
-        ds = paper_example_dataset()
-        _, raw = trajectory_dissimilarity_matrix(ds, normalized=False)
-        _, norm = trajectory_dissimilarity_matrix(ds, normalized=True)
-        off_diagonal = ~np.eye(len(raw), dtype=bool)
-        assert (norm[off_diagonal] >= 0).all()
-        # Eq. 7 normalization changes the values (it is not a no-op).
-        assert not np.allclose(norm[off_diagonal], raw[off_diagonal])
-
 
 class TestPruning:
     def test_pruned_entries_below_threshold_are_exact(self, paper_scenario):
@@ -134,8 +126,11 @@ class TestPruning:
 
     def test_pruned_grouping_equals_unpruned(self, paper_scenario):
         dataset = paper_scenario.dataset
-        unpruned = TrajectoryGrouper(threshold=1.0, prune=False).group(dataset)
-        pruned = TrajectoryGrouper(threshold=1.0, prune=True).group(dataset)
+        order, exact = trajectory_dissimilarity_matrix(dataset)
+        unpruned = groups_from_components(
+            graph_from_dissimilarity(list(order), exact, 1.0)
+        )
+        pruned = TrajectoryGrouper(threshold=1.0).group(dataset)
         assert _partitions(unpruned) == _partitions(pruned)
 
 

@@ -90,8 +90,6 @@ def _discoverers(dataset):
 def _groupers():
     yield TaskSetGrouper()
     yield TrajectoryGrouper()
-    yield TrajectoryGrouper(prune=False, window=1)
-    yield TrajectoryGrouper(normalized=True)
     yield CombinedGrouper([TaskSetGrouper(), TrajectoryGrouper()], mode="intersection")
     yield FingerprintGrouper()  # no captures: a FingerprintError
 
@@ -271,4 +269,37 @@ def test_json_loader_names_the_entry(tmp_path, entry, message):
     path.write_text(json.dumps(payload))
     with pytest.raises(DataValidationError) as info:
         load_dataset_json(path)
+    assert str(info.value) == message
+
+
+
+@pytest.mark.parametrize(
+    "loader, payload, message",
+    [
+        ("load_dataset_json", [], "not a repro dataset file: expected an object, got list"),
+        ("load_dataset_json", {"format": "repro.dataset", "observations": []},
+         "repro dataset file: missing 'tasks'"),
+        ("load_dataset_json", {"format": "repro.dataset", "tasks": []},
+         "repro dataset file: missing 'observations'"),
+        ("load_dataset_json", {"format": "repro.dataset", "tasks": 5, "observations": []},
+         "repro dataset file: 'tasks' must be a list, got 5"),
+        ("load_dataset_json",
+         {"format": "repro.dataset", "tasks": [{"location": None}], "observations": []},
+         "task 0: missing 'task_id'"),
+        ("load_dataset_json", {"format": "repro.dataset", "tasks": ["T1"], "observations": []},
+         "task 0: expected an object, got 'T1'"),
+        ("load_grouping_json", {"format": "repro.grouping"}, "repro grouping file: missing 'groups'"),
+        ("load_grouping_json", [["a", "b"]],
+         "not a repro grouping file: expected an object, got list"),
+    ],
+)
+def test_json_loaders_name_the_bad_payload(tmp_path, loader, payload, message):
+    import json
+
+    import repro.io
+
+    path = tmp_path / "payload.json"
+    path.write_text(json.dumps(payload))
+    with pytest.raises(DataValidationError) as info:
+        getattr(repro.io, loader)(path)
     assert str(info.value) == message

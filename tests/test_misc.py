@@ -1,17 +1,8 @@
-"""Miscellaneous coverage: error hierarchy, numpy helpers, package surface."""
+"""Miscellaneous coverage: error hierarchy, package surface."""
 
-import warnings
-
-import numpy as np
 import pytest
 
 import repro
-from repro._nputil import (
-    nanmean_quiet,
-    nanmedian_quiet,
-    nanminmax_quiet,
-    nanstd_quiet,
-)
 from repro.errors import (
     ConvergenceError,
     DataValidationError,
@@ -37,30 +28,6 @@ class TestErrorHierarchy:
 
     def test_convergence_is_runtime_error(self):
         assert issubclass(ConvergenceError, RuntimeError)
-
-
-class TestNanHelpers:
-    def _all_nan_column(self):
-        return np.array([[1.0, np.nan], [3.0, np.nan]])
-
-    def test_no_warnings_on_empty_slices(self):
-        matrix = self._all_nan_column()
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", RuntimeWarning)
-            assert nanmean_quiet(matrix, axis=0)[0] == 2.0
-            assert np.isnan(nanmean_quiet(matrix, axis=0)[1])
-            assert np.isnan(nanstd_quiet(matrix, axis=0)[1])
-            assert np.isnan(nanmedian_quiet(matrix, axis=0)[1])
-            lows, highs = nanminmax_quiet(matrix, axis=0)
-            assert np.isnan(lows[1]) and np.isnan(highs[1])
-
-    def test_values_match_numpy(self):
-        matrix = np.array([[1.0, 2.0], [3.0, 6.0]])
-        assert np.allclose(nanmean_quiet(matrix, axis=0), [2.0, 4.0])
-        assert np.allclose(nanmedian_quiet(matrix, axis=0), [2.0, 4.0])
-        lows, highs = nanminmax_quiet(matrix, axis=0)
-        assert np.allclose(lows, [1.0, 2.0])
-        assert np.allclose(highs, [3.0, 6.0])
 
 
 class TestPackageSurface:

@@ -308,25 +308,6 @@ def test_lb_kim_is_lower_bound(a, b):
     assert lb_kim(a, b) <= dtw + max(1e-6, 1e-9 * abs(dtw))
 
 
-@given(
-    st.integers(min_value=1, max_value=10).flatmap(
-        lambda n: st.tuples(
-            st.lists(finite_floats, min_size=n, max_size=n),
-            st.lists(finite_floats, min_size=n, max_size=n),
-            st.integers(min_value=0, max_value=3),
-        )
-    )
-)
-@settings(max_examples=60)
-def test_lb_keogh_is_lower_bound_for_banded_dtw(data):
-    from repro.timeseries.bounds import lb_keogh
-
-    a, b, window = data
-    bound = lb_keogh(a, b, window)
-    banded = dtw_distance(a, b, window=window, normalized=False)
-    assert bound <= banded + max(1e-6, 1e-9 * abs(banded))
-
-
 # ----------------------------------------------------------------------
 # Detection metrics
 # ----------------------------------------------------------------------

@@ -17,16 +17,16 @@ from repro.core.grouping.trajectory import (
     trajectory_dissimilarity_matrix,
 )
 from repro.core.types import Observation, Task
+from repro.graph.threshold import graph_from_dissimilarity, groups_from_components
 from repro.obs import MetricsRegistry, set_metrics
 from repro.obs.metrics import Histogram
-from repro.timeseries.bounds import envelope, lb_kim, lb_kim_pairs
+from repro.timeseries.bounds import lb_kim, lb_kim_pairs
 from repro.timeseries.dtw import dtw_cost, dtw_costs, warping_path
 
 from tests.timeseries.dtw_oracle import (
     OracleScores,
     oracle_cost,
     oracle_cost_table,
-    oracle_envelope,
     oracle_lb_kim,
 )
 
@@ -34,7 +34,6 @@ from tests.timeseries.dtw_oracle import (
 # equal neighbours; the odd fraction keeps the sums inexact.
 values = st.sampled_from([-2.0, -1.0, 0.0, 0.5, 1.0, 1.3, 3.0])
 short_series = st.lists(values, min_size=1, max_size=7)
-windows = st.sampled_from([None, 0, 1, 2, 5])
 budgets = st.one_of(
     st.floats(min_value=0.0, max_value=30.0), st.just(float("inf"))
 )
@@ -59,17 +58,16 @@ def _histogram(cells):
 
 @given(
     st.lists(st.tuples(short_series, short_series, budgets), min_size=1, max_size=12),
-    windows,
     st.booleans(),
 )
 @settings(max_examples=150, deadline=None)
-def test_batched_costs_equal_the_scalar_recurrence(pairs, window, budgeted):
+def test_batched_costs_equal_the_scalar_recurrence(pairs, budgeted):
     a = [np.array(p[0]) for p in pairs]
     b = [np.array(p[1]) for p in pairs]
     abandon = [p[2] for p in pairs] if budgeted else None
-    got, registry = _recorded(lambda: dtw_costs(a, b, window=window, abandon=abandon))
+    got, registry = _recorded(lambda: dtw_costs(a, b, abandon=abandon))
     expected = [
-        oracle_cost(x, y, window, None if abandon is None else abandon[k])
+        oracle_cost(x, y, None, None if abandon is None else abandon[k])
         for k, (x, y) in enumerate(zip(a, b))
     ]
     assert got.tobytes() == np.array([cost for cost, _ in expected]).tobytes()
@@ -80,14 +78,14 @@ def test_batched_costs_equal_the_scalar_recurrence(pairs, window, budgeted):
     )
     for k, (x, y) in enumerate(zip(a, b)):
         budget = None if abandon is None else abandon[k]
-        assert dtw_cost(x, y, window=window, abandon=budget) == got[k]
+        assert dtw_cost(x, y, abandon=budget) == got[k]
 
 
-@given(short_series, short_series, windows)
+@given(short_series, short_series)
 @settings(max_examples=60, deadline=None)
-def test_warping_path_cost_is_the_scalar_table_entry(a, b, window):
-    _, total = warping_path(a, b, window=window)
-    table = oracle_cost_table(np.array(a), np.array(b), window)
+def test_warping_path_cost_is_the_scalar_table_entry(a, b):
+    _, total = warping_path(a, b)
+    table = oracle_cost_table(np.array(a), np.array(b), None)
     assert total == table[len(a), len(b)]
 
 
@@ -95,24 +93,9 @@ def test_blocks_split_many_pairs_without_changing_costs():
     rng = np.random.default_rng(3)
     a = [rng.normal(size=rng.integers(1, 90)) for _ in range(150)]
     b = [rng.normal(size=rng.integers(1, 90)) for _ in range(150)]
-    got = dtw_costs(a, b, window=7, abandon=np.full(150, 40.0))
-    expected = [oracle_cost(x, y, 7, 40.0)[0] for x, y in zip(a, b)]
+    got = dtw_costs(a, b, abandon=np.full(150, 40.0))
+    expected = [oracle_cost(x, y, None, 40.0)[0] for x, y in zip(a, b)]
     assert got.tobytes() == np.array(expected).tobytes()
-
-
-@given(
-    st.lists(st.floats(allow_nan=False, width=32), min_size=1, max_size=15),
-    st.integers(min_value=0, max_value=20),
-)
-@settings(max_examples=100, deadline=None)
-def test_envelope_equals_truncated_slices(series, window):
-    arr = np.array(series)
-    lower, upper = envelope(arr, window)
-    expected_lower, expected_upper = oracle_envelope(arr, window)
-    # Equal values; numpy's reductions may pick either of 0.0 and -0.0
-    # from a window holding both, which LB_Keogh squares away.
-    assert np.array_equal(lower, expected_lower)
-    assert np.array_equal(upper, expected_upper)
 
 
 @given(st.lists(st.lists(values, max_size=4), min_size=2, max_size=6))
@@ -146,22 +129,15 @@ trajectories = st.lists(
 thresholds = st.sampled_from([None, 0.5, 1.0, 4.0, 12.0])
 
 
-@given(trajectories, windows, thresholds)
+@given(trajectories, thresholds)
 @settings(max_examples=120, deadline=None)
-def test_scores_equal_the_pair_loop(trajs, window, threshold):
-    (matrix, stats), registry = _recorded(
-        lambda: pairwise_trajectory_dissimilarity(
-            trajs, window=window, prune_threshold=threshold
-        )
+def test_scores_equal_the_pair_loop(trajs, threshold):
+    matrix, registry = _recorded(
+        lambda: pairwise_trajectory_dissimilarity(trajs, prune_threshold=threshold)
     )
     oracle = OracleScores()
-    expected = oracle.matrix(trajs, window=window, threshold=threshold)
+    expected = oracle.matrix(trajs, window=None, threshold=threshold)
     assert matrix.tobytes() == expected.tobytes()
-    assert (stats.computed, stats.pruned, stats.shortcut) == (
-        oracle.computed,
-        oracle.pruned,
-        oracle.shortcut,
-    )
     counters = registry.snapshot()["counters"]
     assert counters.get("dtw.calls", 0) == oracle.calls
     assert counters.get("dtw.abandoned", 0) == oracle.abandoned
@@ -202,9 +178,9 @@ def _dataset(raw):
     return SensingDataset(tasks, observations)
 
 
-@given(campaigns, windows, st.sampled_from([0.5, 1.0, 3.0]))
+@given(campaigns, st.sampled_from([0.5, 1.0, 3.0]))
 @settings(max_examples=60, deadline=None)
-def test_dissimilarity_matrix_equals_the_pair_loop(raw, window, phi):
+def test_dissimilarity_matrix_equals_the_pair_loop(raw, phi):
     dataset = _dataset(raw)
     order = list(dataset.accounts) + ["empty"]
     series = []
@@ -213,16 +189,16 @@ def test_dissimilarity_matrix_equals_the_pair_loop(raw, window, phi):
         series.append((xs, ys / 3600.0))
     for prune in (None, phi):
         _, matrix = trajectory_dissimilarity_matrix(
-            dataset, accounts=order, window=window, prune_threshold=prune
+            dataset, accounts=order, prune_threshold=prune
         )
-        expected = OracleScores().matrix(series, window=window, threshold=prune)
+        expected = OracleScores().matrix(series, window=None, threshold=prune)
         assert matrix.tobytes() == expected.tobytes()
 
 
-@given(campaigns, windows, st.sampled_from([0.5, 1.0, 3.0]))
+@given(campaigns, st.sampled_from([0.5, 1.0, 3.0]))
 @settings(max_examples=60, deadline=None)
-def test_pruned_grouping_equals_unpruned(raw, window, phi):
+def test_pruned_grouping_equals_unpruned(raw, phi):
     dataset = _dataset(raw)
-    pruned = TrajectoryGrouper(threshold=phi, window=window, prune=True)
-    full = TrajectoryGrouper(threshold=phi, window=window, prune=False)
-    assert pruned.group(dataset) == full.group(dataset)
+    order, exact = trajectory_dissimilarity_matrix(dataset)
+    full = groups_from_components(graph_from_dissimilarity(list(order), exact, phi))
+    assert TrajectoryGrouper(threshold=phi).group(dataset) == full

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from repro.core.grouping.trajectory import pairwise_trajectory_dissimilarity
-from repro.timeseries.bounds import envelope, lb_keogh, lb_kim
+from repro.obs import MetricsRegistry, set_metrics
+from repro.timeseries.bounds import lb_kim
 from repro.timeseries.dtw import dtw_distance
 
 
@@ -27,71 +28,35 @@ class TestLBKim:
             lb_kim([], [1.0])
 
 
-class TestEnvelope:
-    def test_window_zero_is_identity(self):
-        series = [3.0, 1.0, 4.0]
-        lower, upper = envelope(series, 0)
-        assert list(lower) == series
-        assert list(upper) == series
-
-    def test_window_widens_band(self):
-        lower, upper = envelope([0.0, 10.0, 0.0], 1)
-        assert list(upper) == [10.0, 10.0, 10.0]
-        assert list(lower) == [0.0, 0.0, 0.0]
-
-    def test_negative_window_rejected(self):
-        with pytest.raises(ValueError, match="window"):
-            envelope([1.0], -1)
-
-
-class TestLBKeogh:
-    def test_is_lower_bound_for_banded_dtw(self, rng):
-        for _ in range(30):
-            n = int(rng.integers(3, 15))
-            a = rng.normal(size=n)
-            b = rng.normal(size=n)
-            window = int(rng.integers(0, 4))
-            bound = lb_keogh(a, b, window)
-            banded = dtw_distance(a, b, window=window, normalized=False)
-            assert bound <= banded + 1e-9
-
-    def test_query_inside_envelope_is_zero(self):
-        candidate = [0.0, 10.0, 0.0]
-        query = [5.0, 5.0, 5.0]
-        assert lb_keogh(query, candidate, window=1) == 0.0
-
-    def test_length_mismatch_rejected(self):
-        with pytest.raises(ValueError, match="equal lengths"):
-            lb_keogh([1.0, 2.0], [1.0], window=1)
-
-    def test_tight_for_identical(self):
-        series = [1.0, 5.0, 2.0]
-        assert lb_keogh(series, series, window=0) == 0.0
-
-
-def _pruned_matrix(series, threshold, window=None):
+def _pruned_matrix(series, threshold):
     """Raw DTW costs pruned at ``threshold`` on AG-TR's scoring path.
 
     Each series becomes a trajectory with an all-zero timestamp series,
     whose bound and DTW cost are zero, so the Eq. 8 score is the series'
-    raw DTW cost.
+    raw DTW cost.  Returns the matrix and the ``dtw.pairs_*`` counters
+    the scoring recorded.
     """
     trajectories = [(s, np.zeros(len(s))) for s in series]
-    return pairwise_trajectory_dissimilarity(
-        trajectories, window=window, prune_threshold=threshold
-    )
+    registry = MetricsRegistry()
+    previous = set_metrics(registry)
+    try:
+        matrix = pairwise_trajectory_dissimilarity(trajectories, prune_threshold=threshold)
+    finally:
+        set_metrics(previous)
+    return matrix, {
+        name: registry.counter(f"dtw.pairs_{name}").value
+        for name in ("computed", "pruned", "shortcut")
+    }
 
 
 class TestPrunedMatrix:
     def test_pruning_preserves_below_threshold_entries(self, rng):
         series = [rng.normal(size=8) for _ in range(6)]
         threshold = 5.0
-        matrix, _ = _pruned_matrix(series, threshold, window=2)
+        matrix, _ = _pruned_matrix(series, threshold)
         for i in range(6):
             for j in range(i + 1, 6):
-                exact = dtw_distance(
-                    series[i], series[j], window=2, normalized=False
-                )
+                exact = dtw_distance(series[i], series[j], normalized=False)
                 if exact < threshold:
                     # Must not have been pruned, and must be exact.
                     assert matrix[i, j] == exact
@@ -103,11 +68,11 @@ class TestPrunedMatrix:
     def test_prunes_obviously_distant_pairs(self):
         near = [np.zeros(10), np.zeros(10) + 0.01]
         far = [np.full(10, 100.0)]
-        matrix, stats = _pruned_matrix(near + far, threshold=1.0, window=1)
-        assert stats.pruned >= 2  # both (near, far) pairs skipped
+        matrix, pairs = _pruned_matrix(near + far, threshold=1.0)
+        assert pairs["pruned"] >= 2  # both (near, far) pairs skipped
         assert matrix[0, 2] == np.inf
 
     def test_counters_cover_all_pairs(self, rng):
         series = [rng.normal(size=5) for _ in range(5)]
-        _, stats = _pruned_matrix(series, threshold=3.0, window=1)
-        assert stats.computed + stats.pruned + stats.shortcut == 10
+        _, pairs = _pruned_matrix(series, threshold=3.0)
+        assert sum(pairs.values()) == 10
