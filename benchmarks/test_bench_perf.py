@@ -1,10 +1,10 @@
 """PERF-1: scaling micro-benchmarks of the computational substrates.
 
 These are conventional timing benchmarks (multiple rounds) of the pieces
-whose cost the paper discusses: k-means/elbow (AG-FP's ``O(nkdi)``), the
-quadratic DTW dynamic program, CRH iteration, and the end-to-end
-framework on a population an order of magnitude beyond the paper's 18
-accounts.
+whose cost the paper discusses: AG-FP's Table II feature pass,
+k-means/elbow (AG-FP's ``O(nkdi)``), the quadratic DTW dynamic program,
+CRH iteration, and the end-to-end framework on a population an order of
+magnitude beyond the paper's 18 accounts.
 """
 
 import numpy as np
@@ -35,6 +35,20 @@ def test_bench_dtw_unconstrained(benchmark):
     rng = np.random.default_rng(1)
     a, b = rng.normal(size=200), rng.normal(size=200)
     benchmark(dtw_distance, a, b)
+
+
+def test_bench_feature_matrix(benchmark):
+    """AG-FP's feature pass on the 18 captures of one paper-grid cell."""
+    from repro.features.extractor import FeatureExtractor
+    from repro.simulation.scenario import PaperScenarioConfig, build_scenario
+
+    scenario = build_scenario(
+        PaperScenarioConfig(legit_activeness=0.5, sybil_activeness=0.6),
+        np.random.default_rng([31, 1, 2]),
+    )
+    captures = [capture.streams for capture in scenario.fingerprints]
+    assert len(captures) == 18
+    benchmark(lambda: FeatureExtractor().fit_transform(captures))
 
 
 def test_bench_kmeans_200x20(benchmark):

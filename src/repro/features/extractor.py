@@ -99,13 +99,15 @@ class FeatureExtractor:
 
     def fit(self, captures: Sequence[Mapping[str, Sequence[float]]]) -> "FeatureExtractor":
         """Learn per-dimension mean and spread from a capture population."""
-        raw = feature_matrix(captures)
+        self._fit_raw(feature_matrix(captures))
+        return self
+
+    def _fit_raw(self, raw: np.ndarray) -> None:
         self.mean_ = raw.mean(axis=0)
         spread = raw.std(axis=0)
         # A constant dimension carries no information; mapping it to 0
         # (instead of dividing by ~0) keeps k-means geometry sane.
         self.scale_ = np.where(spread < EPS, 1.0, spread)
-        return self
 
     def transform(
         self, captures: Sequence[Mapping[str, Sequence[float]]]
@@ -119,5 +121,11 @@ class FeatureExtractor:
     def fit_transform(
         self, captures: Sequence[Mapping[str, Sequence[float]]]
     ) -> np.ndarray:
-        """Fit on the population and return its normalized features."""
-        return self.fit(captures).transform(captures)
+        """Fit on the population and return its normalized features.
+
+        Equal to ``fit(captures).transform(captures)``, from one feature
+        pass instead of two.
+        """
+        raw = feature_matrix(captures)
+        self._fit_raw(raw)
+        return (raw - self.mean_) / self.scale_

@@ -160,39 +160,43 @@ def spectral_roughness(freqs: np.ndarray, mags: np.ndarray) -> float:
 
     ``d(f1, f2, m1, m2) = m1 * m2 * (exp(-b1 * s * df) - exp(-b2 * s * df))``
 
-    with ``s = x* / (s1 * fmin + s2)`` for every peak pair, and average.
-    Frequencies are normalized; the constants are the classic Sethares
-    fit.  Returns 0 when fewer than two peaks exist.
+    with ``s = x* / (s1 * fmin + s2)`` for every peak pair ``i < j``, and
+    average.  The pair terms are one array over ``np.triu_indices``, in
+    row-major pair order; their total is a running ``cumsum``, i.e. the
+    sequential left-to-right sum (``ndarray.sum`` would sum pairwise and
+    round differently).  Frequencies are normalized; the constants are the
+    classic Sethares fit.  Returns 0 when fewer than two peaks exist.
     """
-    peaks = _spectral_peaks(freqs, mags)
-    if len(peaks) < 2:
+    peak_freqs, peak_mags = _spectral_peaks(freqs, mags)
+    if len(peak_freqs) < 2:
         return 0.0
     b1, b2 = 3.5, 5.75
     s1, s2, x_star = 0.0207, 18.96, 0.24
     # Rescale normalized frequency to a pseudo-Hz axis so the Plomp-Levelt
     # constants (fitted in Hz) operate in a sensible range.
     scale = 1000.0
-    total = 0.0
-    count = 0
-    for i in range(len(peaks)):
-        for j in range(i + 1, len(peaks)):
-            f1, m1 = peaks[i]
-            f2, m2 = peaks[j]
-            fmin = min(f1, f2) * scale
-            df = abs(f1 - f2) * scale
-            s = x_star / (s1 * fmin + s2)
-            total += m1 * m2 * (np.exp(-b1 * s * df) - np.exp(-b2 * s * df))
-            count += 1
-    return float(total / count)
+    i, j = np.triu_indices(len(peak_freqs), 1)
+    f1, f2 = peak_freqs[i], peak_freqs[j]
+    m1, m2 = peak_mags[i], peak_mags[j]
+    fmin = np.minimum(f1, f2) * scale
+    df = np.abs(f1 - f2) * scale
+    s = x_star / (s1 * fmin + s2)
+    terms = m1 * m2 * (np.exp(-b1 * s * df) - np.exp(-b2 * s * df))
+    return float(np.cumsum(terms)[-1] / len(terms))
 
 
-def _spectral_peaks(freqs: np.ndarray, mags: np.ndarray) -> list:
-    """Local maxima of the magnitude spectrum as ``(freq, mag)`` pairs."""
-    peaks = []
-    for k in range(1, len(mags) - 1):
-        if mags[k] > mags[k - 1] and mags[k] >= mags[k + 1]:
-            peaks.append((float(freqs[k]), float(mags[k])))
-    return peaks
+def _spectral_peaks(
+    freqs: np.ndarray, mags: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Local maxima of the magnitude spectrum as ``(freqs, mags)`` arrays.
+
+    Bin ``k`` (never the first or last) is a peak when it rises strictly
+    above its left neighbour and is at least its right one, so a plateau
+    counts once, at its left end.
+    """
+    inner = mags[1:-1]
+    mask = (inner > mags[:-2]) & (inner >= mags[2:])
+    return freqs[1:-1][mask], inner[mask]
 
 
 #: Ordered registry of the eleven spectral features of Table II.

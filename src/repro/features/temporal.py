@@ -87,10 +87,12 @@ def zero_crossing_rate(signal: Sequence[float]) -> float:
     if len(arr) < 2:
         return 0.0
     signs = np.sign(arr)
-    # Propagate the previous sign through exact zeros.
-    for idx in range(1, len(signs)):
-        if signs[idx] == 0:
-            signs[idx] = signs[idx - 1]
+    # Carry the last nonzero sign forward through exact zeros: each sample
+    # takes the sign of the latest nonzero sample at or before it (a
+    # leading run of zeros stays 0).
+    positions = np.arange(len(signs))
+    last_nonzero = np.maximum.accumulate(np.where(signs != 0, positions, 0))
+    signs = signs[last_nonzero]
     crossings = np.sum(signs[1:] * signs[:-1] < 0)
     return float(crossings / (len(arr) - 1))
 

@@ -58,10 +58,14 @@ def load_observations_csv(path: PathLike) -> SensingDataset:
     """Read a CSV written by :func:`save_observations_csv`.
 
     The task universe is inferred from the observations (tasks appear
-    with no location).
+    with no location).  The four columns go straight to
+    :meth:`SensingDataset.from_arrays`; a malformed line raises
+    :class:`DataValidationError` naming its line number.
     """
-    observations: List[Observation] = []
-    task_ids = set()
+    accounts: List[str] = []
+    task_ids: List[str] = []
+    values: List[float] = []
+    timestamps: List[float] = []
     with open(path, newline="") as handle:
         reader = csv.reader(handle)
         header = next(reader, None)
@@ -78,12 +82,19 @@ def load_observations_csv(path: PathLike) -> SensingDataset:
                 )
             account, task, value, timestamp = row
             try:
-                observations.append(Observation(account, task, float(value), float(timestamp)))
+                number, time = float(value), float(timestamp)
             except ValueError as exc:
                 raise DataValidationError(f"line {line_number}: {exc}") from exc
-            task_ids.add(task)
-    tasks = [Task(task_id=tid) for tid in sorted(task_ids)]
-    return SensingDataset(tasks, observations)
+            if time < 0:
+                raise DataValidationError(
+                    f"line {line_number}: timestamp must be non-negative, got {time}"
+                )
+            accounts.append(account)
+            task_ids.append(task)
+            values.append(number)
+            timestamps.append(time)
+    tasks = [Task(task_id=tid) for tid in sorted(set(task_ids))]
+    return SensingDataset.from_arrays(tasks, accounts, task_ids, values, timestamps)
 
 
 # ----------------------------------------------------------------------

@@ -130,7 +130,7 @@ class KMeans:
         iterations = 0
         for iterations in range(1, self._max_iterations + 1):
             labels = _assign(data, centroids)
-            new_centroids = _update_centroids(data, labels, centroids, self._rng)
+            new_centroids = _update_centroids(data, labels, centroids)
             movement = float(np.sqrt(((new_centroids - centroids) ** 2).sum(axis=1)).max())
             centroids = new_centroids
             if movement <= self._tolerance:
@@ -175,24 +175,35 @@ def _assign(data: np.ndarray, centroids: np.ndarray) -> np.ndarray:
 
 
 def _update_centroids(
-    data: np.ndarray,
-    labels: np.ndarray,
-    previous: np.ndarray,
-    rng: np.random.Generator,
+    data: np.ndarray, labels: np.ndarray, previous: np.ndarray
 ) -> np.ndarray:
-    """Mean of each cluster; empty clusters re-seed on the worst-fit point."""
+    """Mean of each cluster; empty clusters re-seed on the worst-fit point.
+
+    The rows are stably sorted by label, so each cluster's members form one
+    contiguous slice in their original order: the same layout as the
+    boolean-indexed copy ``data[labels == c]``, which numpy's (pairwise)
+    ``mean`` sums in the same order.  A one-member cluster takes its row
+    plus 0.0, which is what ``mean`` returns for one row (its sum starts
+    from 0.0, turning -0.0 into 0.0).  Segment sums (``np.add.at``,
+    ``reduceat``) round differently and are not used.
+    """
     k = len(previous)
     centroids = previous.copy()
-    for cluster in range(k):
-        members = data[labels == cluster]
-        if len(members) > 0:
-            centroids[cluster] = members.mean(axis=0)
+    counts = np.bincount(labels, minlength=k)
+    order = np.argsort(labels, kind="stable")
+    ends = np.cumsum(counts)
+    starts = ends - counts
+    single = counts == 1
+    centroids[single] = data[order[starts[single]]] + 0.0
+    grouped = data[order]
+    for cluster in np.flatnonzero(counts > 1).tolist():
+        centroids[cluster] = grouped[starts[cluster] : ends[cluster]].mean(axis=0)
     # Repair empty clusters after the means are in place so "farthest from
-    # its centroid" is measured against the fresh geometry.
-    for cluster in range(k):
-        if (labels == cluster).any():
-            continue
+    # its centroid" is measured against the fresh geometry.  Labels never
+    # name an empty cluster, so every repair sees the same residuals and
+    # picks the same (first) worst-fit point.
+    empty = counts == 0
+    if empty.any():
         residuals = ((data - centroids[labels]) ** 2).sum(axis=1)
-        worst = int(residuals.argmax())
-        centroids[cluster] = data[worst]
+        centroids[empty] = data[int(residuals.argmax())]
     return centroids

@@ -196,8 +196,10 @@ def dtw_costs(
     AG-TR pruning rule
     (:func:`~repro.core.grouping.trajectory.pairwise_trajectory_dissimilarity`),
     where the budget is what remains below the grouping threshold
-    ``phi`` — an abandoned pair could never have formed a ``< phi`` edge.  A ``NaN`` budget
-    never abandons.
+    ``phi`` — an abandoned pair could never have formed a ``< phi`` edge.  A ``NaN``
+    budget never abandons.  A ``+inf`` budget (the exact matrix) could only
+    abandon a pair whose cost is already ``inf``, so a block with no budget
+    below ``inf`` skips the abandon pass.
 
     Records ``dtw.calls`` and ``dtw.abandoned`` and one ``dtw.cells``
     observation per pair, in pair order.
@@ -219,7 +221,7 @@ def dtw_costs(
         tables = _cost_tables([a_list[p] for p in block], [b_list[p] for p in block])
         m, n = rows[block], cols[block]
         costs[block] = tables[m, n, np.arange(len(block))]
-        if not np.isnan(budgets[block]).all():
+        if (budgets[block] < np.inf).any():
             # Row minima over each pair's own columns: blank the padding.
             cells = tables[1:, 1:]
             outside = np.arange(1, tables.shape[1])[:, np.newaxis] > n

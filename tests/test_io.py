@@ -1,11 +1,15 @@
 """Persistence tests: CSV/JSON/NPZ round-trips."""
 
 import json
+import pathlib
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
-from repro.core.types import Grouping
+from repro.core.dataset import SensingDataset
+from repro.core.types import Grouping, Observation, Task
 from repro.errors import DataValidationError
 from repro.io import (
     load_dataset_json,
@@ -17,6 +21,7 @@ from repro.io import (
     save_grouping_json,
     save_observations_csv,
 )
+from tests.core.test_dataset_oracle import assert_same_views, campaigns
 
 
 class TestCSV:
@@ -48,6 +53,20 @@ class TestCSV:
         path.write_text("account_id,task_id,value,timestamp\na,T1,1.0\n")
         with pytest.raises(DataValidationError, match="line 2"):
             load_observations_csv(path)
+
+
+@given(campaigns(invalid=False))
+@settings(max_examples=100, deadline=None)
+def test_csv_roundtrip_equals_the_source_on_every_view(campaign):
+    # CSV stores no unanswered tasks, so the source declares only claimed ones.
+    _, claims = campaign
+    tasks = [Task(t) for t in sorted({claim[1] for claim in claims})]
+    source = SensingDataset(tasks, [Observation(*claim) for claim in claims])
+    with tempfile.TemporaryDirectory() as scratch:
+        path = pathlib.Path(scratch) / "obs.csv"
+        save_observations_csv(source, path)
+        loaded = load_observations_csv(path)
+    assert_same_views(loaded, source, observation_built=False)
 
 
 class TestDatasetJSON:
