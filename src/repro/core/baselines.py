@@ -18,36 +18,52 @@ All baselines implement the same ``discover(dataset)`` protocol as
 :class:`~repro.core.truth_discovery.IterativeTruthDiscovery`, so experiment
 harnesses can treat any of them as an opaque truth-discovery engine.
 
-The iterative baselines are expressed as weight functionals over the
-shared claim-matrix engine: GTM's EM and CATD's confidence-bound update
-are both "distance vector in, weight vector out" maps, so they plug into
-:func:`~repro.core.engine.loop.run_convergence_loop` exactly like CRH —
-only the functional (and, for GTM, the distance normalization) differs.
+The iterative baselines are presets of
+:class:`~repro.core.truth_discovery.IterativeTruthDiscovery`, like CRH:
+GTM's EM and CATD's confidence-bound update are both "distance vector
+in, weight vector out" maps built per claim matrix by
+``_weight_function_for`` — only the functional (and, for GTM, the
+distance normalization) differs, so they share CRH's loop, telemetry and
+``ConvergencePolicy(strict=True)`` handling.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import replace
+from typing import Callable
 
 import numpy as np
 from scipy import stats
 
 from repro._nputil import EPS
 from repro.core.dataset import SensingDataset
-from repro.core.engine.loop import run_convergence_loop
+from repro.core.engine.loop import EngineResult, WeightFunction
 from repro.core.engine.matrix import ClaimMatrix
-from repro.core.truth_discovery import ConvergencePolicy, TruthDiscoveryResult
+from repro.core.truth_discovery import (
+    ConvergencePolicy,
+    IterativeTruthDiscovery,
+    TruthDiscoveryResult,
+    _discovery_result,
+)
 from repro.errors import DataValidationError
 
 
-def _truth_map(matrix: ClaimMatrix, truths: np.ndarray):
-    answered = matrix.answered_cols
-    return {
-        tid: float(truths[j])
-        for j, tid in enumerate(matrix.col_labels)
-        if answered[j] and not math.isnan(truths[j])
-    }
+def _unweighted(
+    dataset: SensingDataset, statistic: Callable[[ClaimMatrix], np.ndarray]
+) -> TruthDiscoveryResult:
+    """One pass of a per-task column statistic, every account weighted 1."""
+    if len(dataset) == 0:
+        raise DataValidationError("cannot aggregate an empty dataset")
+    matrix = ClaimMatrix.from_dataset(dataset)
+    return _discovery_result(
+        matrix,
+        EngineResult(
+            truths=statistic(matrix),
+            weights=np.ones(matrix.n_rows),
+            iterations=1,
+            converged=True,
+            history=(),
+        ),
+    )
 
 
 class MeanAggregator:
@@ -59,15 +75,7 @@ class MeanAggregator:
     """
 
     def discover(self, dataset: SensingDataset) -> TruthDiscoveryResult:
-        if len(dataset) == 0:
-            raise DataValidationError("cannot aggregate an empty dataset")
-        matrix = ClaimMatrix.from_dataset(dataset)
-        return TruthDiscoveryResult(
-            truths=_truth_map(matrix, matrix.column_means()),
-            weights={account: 1.0 for account in matrix.row_labels},
-            iterations=1,
-            converged=True,
-        )
+        return _unweighted(dataset, ClaimMatrix.column_means)
 
 
 class MedianAggregator:
@@ -80,25 +88,18 @@ class MedianAggregator:
     """
 
     def discover(self, dataset: SensingDataset) -> TruthDiscoveryResult:
-        if len(dataset) == 0:
-            raise DataValidationError("cannot aggregate an empty dataset")
-        matrix = ClaimMatrix.from_dataset(dataset)
-        return TruthDiscoveryResult(
-            truths=_truth_map(matrix, matrix.column_medians()),
-            weights={account: 1.0 for account in matrix.row_labels},
-            iterations=1,
-            converged=True,
-        )
+        return _unweighted(dataset, ClaimMatrix.column_medians)
 
 
-class GTM:
+class GTM(IterativeTruthDiscovery):
     """Gaussian truth model: EM over per-source noise variances.
 
     Model: claim ``d_j^i = truth_j + noise_i`` with
     ``noise_i ~ N(0, sigma_i^2)``.  The E-step re-estimates truths as
     precision-weighted means; the M-step re-estimates each source's
     variance from its residuals.  A small inverse-gamma style prior
-    (``alpha``, ``beta``) regularizes sources with few claims.
+    (``alpha``, ``beta``) regularizes sources with few claims.  Residuals
+    are raw, not spread-normalized: the variance model absorbs scale.
 
     Parameters
     ----------
@@ -109,6 +110,9 @@ class GTM:
         ``sigma_i^2 = (beta + sse_i) / (alpha + n_i)``.
     """
 
+    _normalize = False
+    _name = "gtm"
+
     def __init__(
         self,
         convergence: ConvergencePolicy = ConvergencePolicy(max_iterations=100),
@@ -117,14 +121,11 @@ class GTM:
     ):
         if alpha <= 0 or beta <= 0:
             raise ValueError("alpha and beta must be positive")
-        self._convergence = convergence
+        super().__init__(convergence=convergence)
         self._alpha = alpha
         self._beta = beta
 
-    def discover(self, dataset: SensingDataset) -> TruthDiscoveryResult:
-        if len(dataset) == 0:
-            raise DataValidationError("cannot aggregate an empty dataset")
-        matrix = ClaimMatrix.from_dataset(dataset)
+    def _weight_function_for(self, matrix: ClaimMatrix) -> WeightFunction:
         counts = matrix.claim_counts_by_row
 
         def gtm_precision(sse: np.ndarray) -> np.ndarray:
@@ -133,29 +134,10 @@ class GTM:
             variances = (self._beta + sse) / (self._alpha + counts)
             return 1.0 / np.maximum(variances, EPS)
 
-        result = run_convergence_loop(
-            matrix,
-            weight_function=gtm_precision,
-            # GTM uses raw residuals: the variance model absorbs scale.
-            normalize=False,
-            convergence=replace(self._convergence, strict=False),
-            initial_truths=matrix.column_means(),
-            event_name="gtm.iteration",
-            metrics_prefix="gtm",
-            record_history=False,
-        )
-        weights = {
-            account: float(p) for account, p in zip(matrix.row_labels, result.weights)
-        }
-        return TruthDiscoveryResult(
-            truths=_truth_map(matrix, result.truths),
-            weights=weights,
-            iterations=result.iterations,
-            converged=result.converged,
-        )
+        return gtm_precision
 
 
-class CATD:
+class CATD(IterativeTruthDiscovery):
     """Confidence-aware truth discovery for long-tail sources.
 
     After Li et al. (VLDB 2014): a source with only a handful of claims has
@@ -179,6 +161,8 @@ class CATD:
         Iteration budget / tolerance.
     """
 
+    _name = "catd"
+
     def __init__(
         self,
         significance: float = 0.05,
@@ -186,13 +170,10 @@ class CATD:
     ):
         if not 0 < significance < 1:
             raise ValueError(f"significance must be in (0, 1), got {significance}")
+        super().__init__(convergence=convergence)
         self._significance = significance
-        self._convergence = convergence
 
-    def discover(self, dataset: SensingDataset) -> TruthDiscoveryResult:
-        if len(dataset) == 0:
-            raise DataValidationError("cannot aggregate an empty dataset")
-        matrix = ClaimMatrix.from_dataset(dataset)
+    def _weight_function_for(self, matrix: ClaimMatrix) -> WeightFunction:
         quantiles = stats.chi2.ppf(
             self._significance, np.maximum(matrix.claim_counts_by_row, 1)
         )
@@ -200,21 +181,4 @@ class CATD:
         def catd_weights(sse: np.ndarray) -> np.ndarray:
             return quantiles / np.maximum(sse, EPS)
 
-        result = run_convergence_loop(
-            matrix,
-            weight_function=catd_weights,
-            convergence=replace(self._convergence, strict=False),
-            initial_truths=matrix.column_means(),
-            event_name="catd.iteration",
-            metrics_prefix="catd",
-            record_history=False,
-        )
-        weights = {
-            account: float(w) for account, w in zip(matrix.row_labels, result.weights)
-        }
-        return TruthDiscoveryResult(
-            truths=_truth_map(matrix, result.truths),
-            weights=weights,
-            iterations=result.iterations,
-            converged=result.converged,
-        )
+        return catd_weights

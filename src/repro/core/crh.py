@@ -20,10 +20,6 @@ Algorithm 1" — the other representatives live in
 
 from __future__ import annotations
 
-from typing import Optional
-
-import numpy as np
-
 from repro.core.truth_discovery import (
     ConvergencePolicy,
     IterativeTruthDiscovery,
@@ -39,12 +35,8 @@ class CRH(IterativeTruthDiscovery):
     convergence:
         Stopping policy.  CRH's reference implementation runs a fixed
         iteration count; the default here additionally stops early once
-        truths move less than the tolerance.
-    initializer:
-        Iteration-0 truths: ``"mean"`` (default; CRH's common choice),
-        ``"median"``, or ``"random"``.
-    rng:
-        Only needed for the ``"random"`` initializer.
+        truths move less than the tolerance.  Iteration-0 truths are the
+        per-task claim means (CRH's common choice).
 
     Examples
     --------
@@ -58,13 +50,5 @@ class CRH(IterativeTruthDiscovery):
     def __init__(
         self,
         convergence: ConvergencePolicy = ConvergencePolicy(max_iterations=100),
-        initializer: str = "mean",
-        rng: Optional[np.random.Generator] = None,
     ):
-        super().__init__(
-            weight_function=crh_log_weights,
-            convergence=convergence,
-            normalize_distances=True,
-            initializer=initializer,
-            rng=rng,
-        )
+        super().__init__(weight_function=crh_log_weights, convergence=convergence)

@@ -22,6 +22,8 @@ comment in :func:`segment_weighted_medians`).
 
 from __future__ import annotations
 
+from typing import Optional
+
 import numpy as np
 
 from repro._nputil import EPS
@@ -89,7 +91,7 @@ def segment_row_distances(
     col_idx: np.ndarray,
     truths: np.ndarray,
     n_rows: int,
-    spreads: np.ndarray = None,
+    spreads: Optional[np.ndarray] = None,
 ) -> np.ndarray:
     """Eq. 1's distance: per-row sum of squared deviations from the truths.
 

@@ -25,6 +25,7 @@ from typing import Callable, List, Tuple
 
 import numpy as np
 
+from repro._nputil import EPS
 from repro.core.engine.kernels import (
     segment_row_distances,
     segment_weighted_medians,
@@ -108,11 +109,8 @@ def run_convergence_loop(
     initial_truths: np.ndarray,
     normalize: bool = True,
     truth_estimator: str = "mean",
-    event_name: str = "td.iteration",
-    metrics_prefix: str = "td",
+    name: str = "td",
     span=None,
-    record_history: bool = True,
-    error_subject: str = "truth discovery",
 ) -> EngineResult:
     """Iterate weight and truth estimation over the claim matrix.
 
@@ -135,18 +133,12 @@ def run_convergence_loop(
     truth_estimator:
         ``"mean"`` (Eq. 2's weighted average) or ``"median"`` (the robust
         weighted-median variant).
-    event_name, metrics_prefix, span:
-        Telemetry wiring: the per-iteration event name
-        (``td.iteration`` / ``framework.iteration`` / …), the counter
-        prefix (``{prefix}.runs`` and ``{prefix}.iterations``), and an
-        optional open span that receives ``iterations`` and
-        ``stop_reason`` attributes.
-    record_history:
-        Keep the per-iteration truth snapshots (over answered columns).
-        Baselines that never expose a history can switch this off.
-    error_subject:
-        Subject of the strict-mode error message ("truth discovery did
-        not converge …" / "framework did not converge …").
+    name, span:
+        Telemetry wiring: ``name`` (``"td"``, ``"framework"``, ``"gtm"``,
+        ``"catd"``) names the per-iteration ``{name}.iteration`` event,
+        the ``{name}.runs`` and ``{name}.iterations`` counters and the
+        subject of the strict-mode error; ``span`` is an optional open
+        span that receives ``iterations`` and ``stop_reason`` attributes.
     """
     # Claims in content order: per-column sums then do not depend on the
     # row numbering, and per-row sums still run in column order.
@@ -180,11 +172,10 @@ def run_convergence_loop(
             else 0.0
         )
         truths = new_truths
-        if record_history:
-            history.append(tuple(truths[answered]))
+        history.append(tuple(truths[answered]))
         if tracer.enabled:
             tracer.event(
-                event_name,
+                f"{name}.iteration",
                 iteration=iterations,
                 truth_delta=delta,
                 weight_entropy=weight_entropy(weights),
@@ -195,14 +186,14 @@ def run_convergence_loop(
 
     stop_reason = "converged" if converged else "max_iterations"
     metrics = get_metrics()
-    metrics.counter(f"{metrics_prefix}.runs").inc()
-    metrics.counter(f"{metrics_prefix}.iterations").inc(iterations)
+    metrics.counter(f"{name}.runs").inc()
+    metrics.counter(f"{name}.iterations").inc(iterations)
     if not converged and convergence.strict:
         stop_reason = "convergence_error"
         if span is not None:
             span.set("iterations", iterations).set("stop_reason", stop_reason)
         raise ConvergenceError(
-            f"{error_subject} did not converge in "
+            f"{name} did not converge in "
             f"{convergence.max_iterations} iterations"
         )
     if span is not None:
@@ -230,8 +221,6 @@ def initial_truths_eq5(
     zero and Eq. 5 is 0/0) fall back to the unweighted mean of the
     grouped values.  Claim-less columns stay ``NaN``.
     """
-    from repro._nputil import EPS
-
     counts = np.bincount(col_idx, minlength=n_cols)
     mass = np.bincount(col_idx, weights=initial_weights, minlength=n_cols)
     weighted = np.bincount(

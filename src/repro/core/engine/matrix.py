@@ -25,18 +25,14 @@ fall out of the same cell counts.
 
 from __future__ import annotations
 
-from typing import Callable, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro._nputil import EPS
 from repro.core.dataset import SensingDataset
+from repro.core.engine.kernels import column_spreads
 from repro.core.types import TaskId
-
-#: A group-aggregation strategy maps the values one group submitted for
-#: one task to a single representative value (the repaired Eq. 3 and its
-#: pluggable alternatives — see ``repro.core.framework``).
-GroupAggregation = Callable[[np.ndarray], float]
 
 
 class ClaimMatrix:
@@ -67,8 +63,6 @@ class ClaimMatrix:
         "col_labels",
         "_col_counts",
         "_spreads",
-        "_col_order",
-        "_col_indptr",
         "_content_claims",
     )
 
@@ -97,8 +91,6 @@ class ClaimMatrix:
         self.col_labels = tuple(col_labels)
         self._col_counts: Optional[np.ndarray] = None
         self._spreads: Optional[np.ndarray] = None
-        self._col_order: Optional[np.ndarray] = None
-        self._col_indptr: Optional[np.ndarray] = None
         self._content_claims: Optional[Tuple[np.ndarray, ...]] = None
 
     # ------------------------------------------------------------------
@@ -166,8 +158,6 @@ class ClaimMatrix:
         squared distance passes through unscaled.
         """
         if self._spreads is None:
-            from repro.core.engine.kernels import column_spreads
-
             values, _, col_idx = self.content_claims()
             self._spreads = column_spreads(values, col_idx, self.n_cols)
         return self._spreads
@@ -203,22 +193,8 @@ class ClaimMatrix:
             self._content_claims = claims
         return self._content_claims
 
-    def _column_slices(self) -> Tuple[np.ndarray, np.ndarray]:
-        """CSC view: a permutation sorting claims by column + boundaries.
-
-        ``order, indptr = m._column_slices()`` makes column ``j``'s claims
-        ``m.values[order[indptr[j]:indptr[j+1]]]``, in row order (the
-        permutation is stable over the canonical ``(row, col)`` layout).
-        """
-        if self._col_order is None:
-            self._col_order = np.argsort(self.col_idx, kind="stable")
-            self._col_indptr = np.concatenate(
-                ([0], np.cumsum(self.claim_counts_by_col))
-            )
-        return self._col_order, self._col_indptr
-
     # ------------------------------------------------------------------
-    # Column statistics (iteration-0 truths)
+    # Column statistics
     # ------------------------------------------------------------------
 
     def column_means(self) -> np.ndarray:
@@ -232,25 +208,28 @@ class ClaimMatrix:
 
     def column_medians(self) -> np.ndarray:
         """Per-column claim median; ``NaN`` for claim-less columns."""
-        order, indptr = self._column_slices()
-        medians = np.full(self.n_cols, np.nan)
-        values = self.values[order]
-        for j in range(self.n_cols):
-            lo, hi = indptr[j], indptr[j + 1]
-            if hi > lo:
-                medians[j] = np.median(values[lo:hi])
-        return medians
+        return _segment_medians(self.values, self.col_idx, self.claim_counts_by_col)
 
-    def column_minmax(self) -> Tuple[np.ndarray, np.ndarray]:
-        """Per-column claim min and max; ``NaN`` for claim-less columns."""
-        lows = np.full(self.n_cols, np.inf)
-        highs = np.full(self.n_cols, -np.inf)
-        np.minimum.at(lows, self.col_idx, self.values)
-        np.maximum.at(highs, self.col_idx, self.values)
-        empty = ~self.answered_cols
-        lows[empty] = np.nan
-        highs[empty] = np.nan
-        return lows, highs
+
+def _segment_medians(
+    values: np.ndarray, segment: np.ndarray, counts: np.ndarray
+) -> np.ndarray:
+    """Median of each segment's values; ``NaN`` for empty segments.
+
+    ``segment[k]`` is the segment of ``values[k]`` and ``counts`` the
+    size of every segment.  Sorted by ``(segment, value)``, each segment's
+    median is the mean of its middle pair — one element twice for odd
+    sizes — which is what ``np.median`` returns, bit for bit.
+    """
+    if len(values) == 0:
+        return np.full(len(counts), np.nan)
+    by_value = values[np.lexsort((values, segment))]
+    starts = np.cumsum(counts) - counts
+    # An empty segment reads a neighbour's slot; the mask below drops it.
+    last = len(values) - 1
+    mid_lo = np.clip(starts + (counts - 1) // 2, 0, last)
+    mid_hi = np.minimum(starts + counts // 2, last)
+    return np.where(counts > 0, 0.5 * (by_value[mid_lo] + by_value[mid_hi]), np.nan)
 
 
 class GroupedClaims:
@@ -285,16 +264,14 @@ def compact_by_groups(
     matrix: ClaimMatrix,
     row_to_group: Sequence[int],
     n_groups: int,
-    aggregation: GroupAggregation,
+    aggregation: str,
 ) -> GroupedClaims:
     """Algorithm 2 lines 2–6 as a row compaction of the claim matrix.
 
     Claims sharing a ``(group, task)`` cell collapse into one grouped
-    claim via ``aggregation``; the Eq. 4 initial weight of each cell is
-    computed from the same cell counts.  The registry strategies
-    (``mean``, ``inverse_deviation``, ``median``) run fully vectorized;
-    arbitrary callables fall back to a per-cell loop over column-ordered
-    value slices.
+    claim via the named ``aggregation``; the Eq. 4 initial weight of each
+    cell is computed from the same cell counts.  Every strategy runs
+    vectorized over all cells at once.
 
     Parameters
     ----------
@@ -307,7 +284,9 @@ def compact_by_groups(
         Total number of groups; claim-less groups keep empty rows so the
         weight vector of the iteration covers every group.
     aggregation:
-        The Eq. 3 strategy.
+        The Eq. 3 strategy: ``"inverse_deviation"``, ``"mean"`` or
+        ``"median"`` (the keys of
+        :data:`repro.core.framework.GROUP_AGGREGATIONS`).
     """
     row_to_group = np.asarray(row_to_group, dtype=np.intp)
     group_of_claim = row_to_group[matrix.row_idx]
@@ -316,7 +295,7 @@ def compact_by_groups(
         keys, return_inverse=True, return_counts=True
     )
     cell_group, cell_col = np.divmod(unique_keys, matrix.n_cols)
-    cell_values = _aggregate_cells(matrix, inverse, counts, aggregation)
+    cell_values = _aggregate_cells(matrix.values, inverse, counts, aggregation)
 
     # Eq. 4: the more accounts a group burned on a task, the less trust.
     claimants_per_col = matrix.claim_counts_by_col
@@ -338,50 +317,23 @@ def compact_by_groups(
 
 
 def _aggregate_cells(
-    matrix: ClaimMatrix,
+    values: np.ndarray,
     inverse: np.ndarray,
     counts: np.ndarray,
-    aggregation: GroupAggregation,
+    aggregation: str,
 ) -> np.ndarray:
-    """Collapse each cell's claim values through the aggregation strategy."""
-    # Late import: framework defines the registry functions and imports us.
-    from repro.core.framework import (
-        aggregate_inverse_deviation,
-        aggregate_mean,
-        aggregate_median,
-    )
-
+    """Collapse each cell's claim values through the named strategy."""
+    if aggregation == "median":
+        return _segment_medians(values, inverse, counts)
     n_cells = len(counts)
-    values = matrix.values
     sums = np.bincount(inverse, weights=values, minlength=n_cells)
-
-    if aggregation is aggregate_mean:
+    if aggregation == "mean":
         return sums / counts
-
-    if aggregation is aggregate_inverse_deviation:
+    if aggregation == "inverse_deviation":
         centers = sums / counts
         weights = 1.0 / (np.abs(values - centers[inverse]) + EPS)
         weighted = np.bincount(inverse, weights=weights * values, minlength=n_cells)
         mass = np.bincount(inverse, weights=weights, minlength=n_cells)
         # Single-claim cells reduce to the claim itself, exactly.
         return np.where(counts == 1, sums, weighted / mass)
-
-    starts = np.concatenate(([0], np.cumsum(counts)))
-
-    if aggregation is aggregate_median:
-        # Value-sorted within each cell, so the middle elements are the
-        # median pair.
-        by_value = values[np.lexsort((values, inverse))]
-        mid_lo = starts[:-1] + (counts - 1) // 2
-        mid_hi = starts[:-1] + counts // 2
-        return 0.5 * (by_value[mid_lo] + by_value[mid_hi])
-
-    # Contiguous per-cell slices in claim order (stable: within a cell
-    # claims stay (row, col)-sorted).
-    sorted_values = values[np.argsort(inverse, kind="stable")]
-
-    # Generic callable: one call per cell.
-    out = np.empty(n_cells)
-    for c in range(n_cells):
-        out[c] = float(aggregation(sorted_values[starts[c] : starts[c + 1]]))
-    return out
+    raise ValueError(f"unknown aggregation {aggregation!r}")

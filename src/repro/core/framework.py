@@ -49,6 +49,7 @@ from repro.core.truth_discovery import (
     ConvergencePolicy,
     TruthDiscoveryResult,
     WeightFunction,
+    _truths_by_task,
     crh_log_weights,
 )
 from repro.core.types import Grouping, TaskId
@@ -88,8 +89,8 @@ def aggregate_median(values: np.ndarray) -> float:
 
 
 #: Named registry of group-aggregation strategies (ABL-1 sweeps these).
-#: The engine's row compaction recognizes these three and runs them fully
-#: vectorized; arbitrary callables work too, one call per (group, task).
+#: The engine's row compaction runs each name vectorized over all cells;
+#: these scalar functions are the per-cell reference it is tested against.
 GROUP_AGGREGATIONS: Dict[str, GroupAggregation] = {
     "inverse_deviation": aggregate_inverse_deviation,
     "mean": aggregate_mean,
@@ -150,8 +151,8 @@ class SybilResistantTruthDiscovery:
         the grouper is not consulted.
     aggregation:
         Group-aggregation strategy name (key of
-        :data:`GROUP_AGGREGATIONS`) or a callable.  Default
-        ``"inverse_deviation"`` — the repaired Eq. 3.
+        :data:`GROUP_AGGREGATIONS`).  Default ``"inverse_deviation"`` —
+        the repaired Eq. 3.
     weight_function:
         The monotonically decreasing functional for the group weight
         update (Algorithm 2 line 10).  Default: CRH's log weights, making
@@ -164,20 +165,16 @@ class SybilResistantTruthDiscovery:
     def __init__(
         self,
         grouper: Optional[AccountGrouper] = None,
-        aggregation: object = "inverse_deviation",
+        aggregation: str = "inverse_deviation",
         weight_function: WeightFunction = crh_log_weights,
         convergence: ConvergencePolicy = ConvergencePolicy(max_iterations=100),
     ):
-        if callable(aggregation):
-            self._aggregate: GroupAggregation = aggregation  # type: ignore[assignment]
-        else:
-            try:
-                self._aggregate = GROUP_AGGREGATIONS[str(aggregation)]
-            except KeyError:
-                raise ValueError(
-                    f"unknown aggregation {aggregation!r}; "
-                    f"expected one of {sorted(GROUP_AGGREGATIONS)} or a callable"
-                ) from None
+        if not isinstance(aggregation, str) or aggregation not in GROUP_AGGREGATIONS:
+            raise ValueError(
+                f"unknown aggregation {aggregation!r}; "
+                f"expected one of {sorted(GROUP_AGGREGATIONS)}"
+            )
+        self._aggregation = aggregation
         self._grouper = grouper
         self._weight_function = weight_function
         self._convergence = convergence
@@ -245,7 +242,7 @@ class SybilResistantTruthDiscovery:
                     grouping.group_index_of(account) for account in dataset.accounts
                 ]
                 grouped = compact_by_groups(
-                    matrix, row_to_group, len(grouping), self._aggregate
+                    matrix, row_to_group, len(grouping), self._aggregation
                 )
             return self._iterate(grouping, grouped)
 
@@ -269,18 +266,10 @@ class SybilResistantTruthDiscovery:
                 weight_function=self._weight_function,
                 convergence=self._convergence,
                 initial_truths=initial,
-                normalize=True,
-                event_name="framework.iteration",
-                metrics_prefix="framework",
+                name="framework",
                 span=span,
-                error_subject="framework",
             )
 
-        truth_map = {
-            tid: float(engine_result.truths[j])
-            for j, tid in enumerate(gm.col_labels)
-            if answered[j]
-        }
         # Re-expand the cell arrays into the per-task mapping views the
         # result contract exposes (cells visited in task-major order).
         group_values: Dict[TaskId, Dict[int, float]] = {}
@@ -298,7 +287,7 @@ class SybilResistantTruthDiscovery:
                 zip(groups, grouped.initial_weights[task_cells].tolist())
             )
         return FrameworkResult(
-            truths=truth_map,
+            truths=_truths_by_task(gm, engine_result.truths),
             grouping=grouping,
             group_values=group_values,
             initial_group_weights=initial_group_weights,

@@ -17,8 +17,9 @@ This module provides the public surface of the batch algorithms:
   ``W``;
 * :class:`TruthDiscoveryResult` — truths, per-source weights, and
   convergence diagnostics;
-* :class:`IterativeTruthDiscovery` — Algorithm 1, parameterized by a weight
-  functional.  :class:`repro.core.crh.CRH` is a thin preset of it.
+* :class:`IterativeTruthDiscovery` — Algorithm 1, parameterized by a
+  distance normalisation, a weight functional and a truth step.
+  :class:`repro.core.crh.CRH` and the GTM/CATD baselines are presets of it.
 
 The iteration itself runs on the shared claim-matrix engine
 (:mod:`repro.core.engine`): the dataset compiles once into CSR-style
@@ -31,7 +32,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Mapping, Optional, Tuple
+from typing import Dict, Mapping, Tuple
 
 import numpy as np
 
@@ -39,6 +40,7 @@ from repro._nputil import EPS
 from repro.core.dataset import SensingDataset
 from repro.core.engine.loop import (
     ConvergencePolicy,
+    EngineResult,
     WeightFunction,
     run_convergence_loop,
 )
@@ -165,6 +167,15 @@ def weighted_median(values: np.ndarray, weights: np.ndarray) -> float:
 class IterativeTruthDiscovery:
     """Algorithm 1: iterative weight/truth estimation over accounts.
 
+    Every numeric engine in this library is this class with three choices
+    made: the distance normalisation (``_normalize``: divide each claim's
+    squared deviation by its task's claim spread, as CRH does), the
+    weight functional ``W`` (:meth:`_weight_function_for`) and the truth
+    step (``truth_estimator``).  :class:`~repro.core.crh.CRH`,
+    :class:`~repro.core.baselines.GTM` and
+    :class:`~repro.core.baselines.CATD` are presets of it; ``_name``
+    names their spans, events, counters and strict-mode error.
+
     Parameters
     ----------
     weight_function:
@@ -172,47 +183,30 @@ class IterativeTruthDiscovery:
         to CRH's logarithmic weights.
     convergence:
         Stopping policy; defaults to 100 iterations / 1e-6 tolerance.
-    normalize_distances:
-        If true (default, CRH behaviour), per-claim distances are divided
-        by the standard deviation of the task's claims before summing.
-    initializer:
-        How to produce iteration-0 truths: ``"mean"`` (default),
-        ``"median"``, or ``"random"`` (uniform over each task's claim
-        range, the paper's "randomly initialize"; requires ``rng``).
+        Iteration-0 truths are the per-task claim means.
     truth_estimator:
         The truth update of Eq. 2: ``"mean"`` (default, the weighted
         average every algorithm in the paper uses) or ``"median"`` (the
         weighted median — a robust variant that resists a *sub-majority*
         of colluding weight; see the ABL-5 bench).
-    rng:
-        Random generator for the ``"random"`` initializer.
     """
+
+    _normalize = True
+    _name = "td"
 
     def __init__(
         self,
         weight_function: WeightFunction = crh_log_weights,
         convergence: ConvergencePolicy = ConvergencePolicy(),
-        normalize_distances: bool = True,
-        initializer: str = "mean",
         truth_estimator: str = "mean",
-        rng: Optional[np.random.Generator] = None,
     ):
-        if initializer not in ("mean", "median", "random"):
-            raise ValueError(
-                f"initializer must be 'mean', 'median' or 'random', got {initializer!r}"
-            )
         if truth_estimator not in ("mean", "median"):
             raise ValueError(
                 f"truth_estimator must be 'mean' or 'median', got {truth_estimator!r}"
             )
-        if initializer == "random" and rng is None:
-            raise ValueError("the 'random' initializer requires an rng")
         self._weight_function = weight_function
         self._convergence = convergence
-        self._normalize = normalize_distances
-        self._initializer = initializer
         self._truth_estimator = truth_estimator
-        self._rng = rng
 
     # ------------------------------------------------------------------
 
@@ -223,51 +217,50 @@ class IterativeTruthDiscovery:
 
         tracer = get_tracer()
         with tracer.span(
-            "td.discover", accounts=len(dataset.accounts), tasks=len(dataset.tasks)
+            f"{self._name}.discover",
+            accounts=len(dataset.accounts),
+            tasks=len(dataset.tasks),
         ) as span:
             with tracer.span("engine.compile"):
                 matrix = ClaimMatrix.from_dataset(dataset)
             engine_result = run_convergence_loop(
                 matrix,
-                weight_function=self._weight_function,
+                weight_function=self._weight_function_for(matrix),
                 convergence=self._convergence,
-                initial_truths=self._initial_truths(matrix),
+                initial_truths=matrix.column_means(),
                 normalize=self._normalize,
                 truth_estimator=self._truth_estimator,
-                event_name="td.iteration",
-                metrics_prefix="td",
+                name=self._name,
                 span=span,
-                error_subject="truth discovery",
             )
+        return _discovery_result(matrix, engine_result)
 
-        answered = matrix.answered_cols
-        truth_map = {
-            tid: float(engine_result.truths[j])
-            for j, tid in enumerate(matrix.col_labels)
-            if answered[j]
-        }
-        weight_map = {
+    def _weight_function_for(self, matrix: ClaimMatrix) -> WeightFunction:
+        """The functional ``W`` for this matrix (presets read its row counts)."""
+        return self._weight_function
+
+
+def _truths_by_task(matrix: ClaimMatrix, truths: np.ndarray) -> Dict[TaskId, float]:
+    """Per-column truths keyed by task id, over the answered columns only."""
+    answered = matrix.answered_cols
+    return {
+        tid: float(truths[j])
+        for j, tid in enumerate(matrix.col_labels)
+        if answered[j]
+    }
+
+
+def _discovery_result(
+    matrix: ClaimMatrix, engine_result: EngineResult
+) -> TruthDiscoveryResult:
+    """An engine result in matrix coordinates, keyed by task and account."""
+    return TruthDiscoveryResult(
+        truths=_truths_by_task(matrix, engine_result.truths),
+        weights={
             account: float(w)
             for account, w in zip(matrix.row_labels, engine_result.weights)
-        }
-        return TruthDiscoveryResult(
-            truths=truth_map,
-            weights=weight_map,
-            iterations=engine_result.iterations,
-            converged=engine_result.converged,
-            truth_history=engine_result.history,
-        )
-
-    # ------------------------------------------------------------------
-
-    def _initial_truths(self, matrix: ClaimMatrix) -> np.ndarray:
-        if self._initializer == "mean":
-            return matrix.column_means()
-        if self._initializer == "median":
-            return matrix.column_medians()
-        lows, highs = matrix.column_minmax()
-        assert self._rng is not None
-        draws = self._rng.uniform(
-            np.nan_to_num(lows), np.nan_to_num(np.maximum(highs, lows))
-        )
-        return np.where(np.isnan(lows), np.nan, draws)
+        },
+        iterations=engine_result.iterations,
+        converged=engine_result.converged,
+        truth_history=engine_result.history,
+    )

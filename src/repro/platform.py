@@ -94,7 +94,7 @@ class CrowdsensingPlatform:
         budget_per_task: float = 1.0,
         reputation_decay: float = 0.7,
         flag_threshold: int = 2,
-        aggregation: object = "inverse_deviation",
+        aggregation: str = "inverse_deviation",
     ):
         if not 0.0 <= reputation_decay < 1.0:
             raise ValueError(

@@ -5,7 +5,8 @@ import pytest
 
 from repro.core.baselines import CATD, GTM, MeanAggregator, MedianAggregator
 from repro.core.dataset import SensingDataset
-from repro.errors import DataValidationError
+from repro.core.truth_discovery import ConvergencePolicy
+from repro.errors import ConvergenceError, DataValidationError
 
 
 @pytest.fixture
@@ -112,3 +113,13 @@ class TestCrossAlgorithm:
             truths = algorithm.discover(ds).truths
             assert truths["T1"] == pytest.approx(3.0)
             assert truths["T2"] == pytest.approx(-7.0)
+
+
+class TestStrictConvergence:
+    """GTM and CATD share CRH's loop, so ``strict`` applies to them too."""
+
+    @pytest.mark.parametrize("engine, name", [(GTM, "gtm"), (CATD, "catd")])
+    def test_strict_raises_when_budget_runs_out(self, simple_dataset, engine, name):
+        policy = ConvergencePolicy(max_iterations=1, tolerance=0.0, strict=True)
+        with pytest.raises(ConvergenceError, match=f"{name} did not converge in 1"):
+            engine(convergence=policy).discover(simple_dataset)

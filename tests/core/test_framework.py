@@ -49,14 +49,13 @@ class TestConstruction:
         with pytest.raises(ValueError, match="unknown aggregation"):
             SybilResistantTruthDiscovery(aggregation="geometric")
 
-    def test_callable_aggregation_accepted(self):
-        framework = SybilResistantTruthDiscovery(
-            aggregation=lambda values: float(values.max())
-        )
-        ds = SensingDataset.from_matrix([[1.0], [5.0]])
-        grouping = Grouping.from_groups([["a0", "a1"]])
-        result = framework.discover(ds, grouping=grouping)
-        assert result.truths["T1"] == pytest.approx(5.0)
+    def test_callable_aggregation_rejected(self):
+        # The strategy is a registry name; the scalar functions are only
+        # the per-cell reference, not an accepted argument.
+        with pytest.raises(ValueError, match="unknown aggregation"):
+            SybilResistantTruthDiscovery(aggregation=lambda values: float(values.max()))
+        with pytest.raises(ValueError, match="unknown aggregation"):
+            SybilResistantTruthDiscovery(aggregation=GROUP_AGGREGATIONS["mean"])
 
     def test_requires_grouper_or_grouping(self):
         ds = SensingDataset.from_matrix([[1.0]])

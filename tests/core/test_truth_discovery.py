@@ -154,26 +154,6 @@ class TestIterativeTruthDiscovery:
         assert not result.converged
         assert result.iterations == 1
 
-    def test_median_initializer(self, simple_dataset):
-        result = IterativeTruthDiscovery(initializer="median").discover(
-            simple_dataset
-        )
-        assert result.truths["T1"] == pytest.approx(10.1, abs=0.6)
-
-    def test_random_initializer_requires_rng(self):
-        with pytest.raises(ValueError, match="rng"):
-            IterativeTruthDiscovery(initializer="random")
-
-    def test_random_initializer_converges_to_same_region(self, simple_dataset, rng):
-        result = IterativeTruthDiscovery(initializer="random", rng=rng).discover(
-            simple_dataset
-        )
-        assert result.truths["T1"] == pytest.approx(10.1, abs=1.0)
-
-    def test_unknown_initializer_rejected(self):
-        with pytest.raises(ValueError, match="initializer"):
-            IterativeTruthDiscovery(initializer="zeros")
-
     def test_truth_vector_alignment(self, simple_dataset):
         result = IterativeTruthDiscovery().discover(simple_dataset)
         vec = result.truth_vector(("T1", "T9", "T2"))

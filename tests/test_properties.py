@@ -437,7 +437,6 @@ def test_segment_medians_match_scalar_weighted_median(claims):
 @settings(max_examples=40)
 def test_compact_by_groups_invariants(values, data):
     from repro.core.engine import ClaimMatrix, compact_by_groups
-    from repro.core.framework import aggregate_inverse_deviation
 
     n = len(values)
     groups = data.draw(
@@ -453,7 +452,7 @@ def test_compact_by_groups_invariants(values, data):
         tuple(f"a{i}" for i in range(n)),
         ("T1",),
     )
-    grouped = compact_by_groups(matrix, groups, 3, aggregate_inverse_deviation)
+    grouped = compact_by_groups(matrix, groups, 3, "inverse_deviation")
     gm = grouped.matrix
     assert gm.nnz == len(set(groups))
     assert gm.nnz <= matrix.nnz

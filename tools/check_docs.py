@@ -16,6 +16,12 @@ turns into a red build):
    executed with :mod:`doctest` (with ``src/`` importable), so the
    tutorial cannot silently drift from the library.
 
+3. **Stale signatures.** Every inline code span in ``docs/API.md`` that
+   starts with a call ``Name(a, b=…)``, where ``Name`` (possibly dotted,
+   like ``SensingDataset.from_matrix``) resolves in ``repro`` or
+   ``repro.core.engine``, may only name arguments that are parameters of
+   ``inspect.signature(Name)``; a removed parameter fails the gate.
+
 Usage::
 
     python tools/check_docs.py            # check the repo this file lives in
@@ -26,10 +32,12 @@ from __future__ import annotations
 
 import argparse
 import doctest
+import importlib
+import inspect
 import pathlib
 import re
 import sys
-from typing import List, Tuple
+from typing import List, Optional, Tuple
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 
@@ -39,6 +47,10 @@ _LINK_RE = re.compile(r"!?\[[^\]]*\]\(([^)\s]+)(?:\s+\"[^\"]*\")?\)")
 _HEADING_RE = re.compile(r"^#{1,6}\s+(.*)$", re.MULTILINE)
 #: Fenced code blocks in the tutorial.
 _FENCE_RE = re.compile(r"```python\n(.*?)```", re.DOTALL)
+#: Inline code spans that open with a (dotted) call: `Name(`.
+_CALL_SPAN_RE = re.compile(r"`([A-Za-z_]\w*(?:\.[A-Za-z_]\w*)*)\(([^`]*)`")
+#: Modules whose attributes the signature gate resolves names against.
+_API_MODULES = ("repro", "repro.core.engine")
 
 
 def _anchor(heading: str) -> str:
@@ -110,6 +122,82 @@ def check_tutorial_doctests(root: pathlib.Path) -> Tuple[int, List[str]]:
     return n_examples, errors
 
 
+def _call_arguments(text: str) -> Optional[str]:
+    """The argument list of the call opened just before ``text``."""
+    depth = 1
+    for i, char in enumerate(text):
+        depth += {"(": 1, "[": 1, "{": 1, ")": -1, "]": -1, "}": -1}.get(char, 0)
+        if depth == 0:
+            return text[:i]
+    return None
+
+
+def _argument_names(arguments: str) -> List[str]:
+    """Parameter names a documented argument list mentions.
+
+    ``a`` and ``b=…`` name ``a`` and ``b``; ``*``, ``**kwargs``, ``…`` and
+    literals such as ``[…]`` name nothing.
+    """
+    parts, depth, current = [], 0, ""
+    for char in arguments:
+        depth += {"(": 1, "[": 1, "{": 1, ")": -1, "]": -1, "}": -1}.get(char, 0)
+        if char == "," and depth == 0:
+            parts.append(current)
+            current = ""
+        else:
+            current += char
+    parts.append(current)
+    names = []
+    for part in parts:
+        name = part.split("=", 1)[0].strip()
+        if name.isidentifier():
+            names.append(name)
+    return names
+
+
+def _resolve(dotted: str, modules) -> Optional[object]:
+    for module in modules:
+        owner = module
+        try:
+            for part in dotted.split("."):
+                owner = getattr(owner, part)
+        except AttributeError:
+            continue
+        return owner
+    return None
+
+
+def check_api_signatures(root: pathlib.Path) -> List[str]:
+    """Arguments ``docs/API.md`` shows that the named callable does not take."""
+    api = root / "docs" / "API.md"
+    if not api.exists():
+        return []
+    src = str(root / "src")
+    if src not in sys.path:
+        sys.path.insert(0, src)
+    modules = [importlib.import_module(name) for name in _API_MODULES]
+    text = re.sub(r"```.*?```", "", api.read_text(), flags=re.DOTALL)
+    errors = []
+    for match in _CALL_SPAN_RE.finditer(text):
+        name = match.group(1)
+        arguments = _call_arguments(match.group(2))
+        target = _resolve(name, modules)
+        if arguments is None or target is None:
+            continue
+        try:
+            parameters = inspect.signature(target).parameters
+        except (TypeError, ValueError):
+            continue
+        if any(
+            p.kind in (p.VAR_POSITIONAL, p.VAR_KEYWORD) for p in parameters.values()
+        ):
+            continue
+        for argument in _argument_names(arguments):
+            if argument not in parameters:
+                errors.append(f"docs/API.md: `{name}` has no parameter {argument!r}")
+    return errors
+
+
 def main(argv=None) -> int:
     argparser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     argparser.add_argument("--root", default=str(REPO_ROOT),
@@ -119,11 +207,13 @@ def main(argv=None) -> int:
 
     link_errors = check_links(root)
     n_doctests, doctest_errors = check_tutorial_doctests(root)
-    for error in link_errors + doctest_errors:
+    errors = link_errors + doctest_errors + check_api_signatures(root)
+    for error in errors:
         print(f"FAIL {error}")
-    if link_errors or doctest_errors:
+    if errors:
         return 1
-    print(f"docs OK: links resolve, {n_doctests} tutorial doctest(s) pass")
+    print(f"docs OK: links resolve, {n_doctests} tutorial doctest(s) pass, "
+          f"API.md signatures match")
     return 0
 
 
