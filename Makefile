@@ -5,9 +5,9 @@
 install:
 	pip install -e . --no-build-isolation || python setup.py develop
 
-# Matches the tier-1 verify command; no editable install required.
+# CI's tier-1 command, so a local pass means a CI pass; no editable install required.
 test:
-	PYTHONPATH=src python -m pytest -x -q
+	PYTHONPATH=src python -m pytest -x -q -W error::RuntimeWarning
 
 bench:
 	@python -c "import pytest_benchmark" 2>/dev/null \

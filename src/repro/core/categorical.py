@@ -15,15 +15,14 @@ into integer arrays so that every vote tally is one ``np.bincount``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
-from typing import Dict, FrozenSet, Hashable, Iterable, List, Mapping
+from typing import Dict, FrozenSet, Hashable, Iterable, Mapping
 from typing import Optional, Tuple
 
 import numpy as np
 
 from repro.core.dataset import intern
 from repro.core.truth_discovery import ConvergencePolicy, WeightFunction, crh_log_weights
-from repro.core.types import AccountId, Grouping, TaskId
+from repro.core.types import AccountId, Grouping, TaskId, source_name
 from repro.errors import ConvergenceError, DataValidationError
 from repro.obs import get_metrics, get_tracer, weight_entropy
 
@@ -41,21 +40,23 @@ class CategoricalClaims:
     """
 
     def __init__(self, claims: Iterable[Tuple[AccountId, TaskId, Label]]):
-        by_pair: Dict[Tuple[AccountId, TaskId], Label] = {}
-        for account, task, label in claims:
-            key = (account, task)
-            if key in by_pair:
-                raise DataValidationError(
-                    f"duplicate claim for account {account!r} and task {task!r}"
-                )
-            by_pair[key] = label
-        self._by_pair = by_pair
-        # Claim-order arrays; codes follow ``repr`` order, the vote tie-break.
-        accounts, tasks = [a for a, _ in by_pair], [t for _, t in by_pair]
-        labels = list(by_pair.values())
-        self._tasks, _, self._task_idx = intern(tasks)
-        self._accounts, _, self._account_idx = intern(accounts)
+        claims = list(claims)
+        accounts = [account for account, _, _ in claims]
+        tasks = [task for _, task, _ in claims]
+        labels = [label for _, _, label in claims]
+        # The claims, stored once as claim-order arrays; codes follow
+        # ``repr`` order, the vote tie-break.
+        self._tasks, self._task_index, self._task_idx = intern(tasks)
+        self._accounts, self._account_index, self._account_idx = intern(accounts)
         self._labels, _, self._codes = intern(labels, sorted(set(labels), key=repr))
+        keys = self._account_idx.astype(np.int64) * len(self._tasks) + self._task_idx
+        order = np.argsort(keys, kind="stable")
+        repeats = order[1:][keys[order[1:]] == keys[order[:-1]]]
+        if len(repeats):
+            k = int(repeats.min())
+            raise DataValidationError(
+                f"duplicate claim for account {accounts[k]!r} and task {tasks[k]!r}"
+            )
 
     @property
     def tasks(self) -> Tuple[TaskId, ...]:
@@ -68,28 +69,27 @@ class CategoricalClaims:
         return self._accounts
 
     def __len__(self) -> int:
-        return len(self._by_pair)
+        return len(self._codes)
 
     def label(self, account: AccountId, task: TaskId) -> Label:
         """The claimed label; ``KeyError`` if absent."""
-        return self._by_pair[(account, task)]
+        try:
+            return self.claims_for_task(task)[account]
+        except KeyError:
+            raise KeyError((account, task)) from None
 
     def claims_for_task(self, task: TaskId) -> Dict[AccountId, Label]:
         """All claims for one task, in claim order."""
-        return {a: self._by_pair[(a, task)] for a in self._index[0].get(task, ())}
+        hits = self._task_idx == self._task_index.get(task, -1)
+        return {
+            self._accounts[a]: self._labels[c]
+            for a, c in zip(self._account_idx[hits].tolist(), self._codes[hits].tolist())
+        }
 
     def task_set(self, account: AccountId) -> FrozenSet[TaskId]:
         """Tasks the account claimed."""
-        return frozenset(self._index[1].get(account, ()))
-
-    @cached_property
-    def _index(self) -> Tuple[Dict[TaskId, List[AccountId]], Dict[AccountId, List[TaskId]]]:
-        by_task: Dict[TaskId, List[AccountId]] = {}
-        by_account: Dict[AccountId, List[TaskId]] = {}
-        for account, task in self._by_pair:
-            by_task.setdefault(task, []).append(account)
-            by_account.setdefault(account, []).append(task)
-        return by_task, by_account
+        hits = self._account_idx == self._account_index.get(account, -1)
+        return frozenset(map(self._tasks.__getitem__, self._task_idx[hits].tolist()))
 
 
 @dataclass(frozen=True)
@@ -174,11 +174,7 @@ class CategoricalTruthDiscovery:
         per (task, source): its plurality label.  Votes are ordered by task,
         then by the source's first claim on it, so each weighted total adds
         the same floats in the same order as a per-task loop over claims."""
-        grouping = self._grouping
-        names = [
-            f"g{grouping.group_index_of(a)}" if grouping and a in grouping else str(a)
-            for a in claims.accounts
-        ]
+        names = [source_name(self._grouping, a) for a in claims.accounts]
         sources, _, source_of = intern(names)
         cell = claims._task_idx * len(sources) + source_of[claims._account_idx]
         # Dense (task, source) cell ids keep every int64 key below n_claims**2.

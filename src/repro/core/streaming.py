@@ -33,7 +33,7 @@ update instead of per-claim Welford steps.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional
+from typing import Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
 
@@ -44,7 +44,7 @@ from repro.core.truth_discovery import (
     WeightFunction,
     crh_log_weights,
 )
-from repro.core.types import MAX_ABS_VALUE, AccountId, Grouping, Observation, TaskId
+from repro.core.types import MAX_ABS_VALUE, AccountId, Grouping, Observation, TaskId, source_name
 from repro.errors import DataValidationError
 from repro.obs import get_metrics, get_tracer
 
@@ -98,23 +98,24 @@ class StreamingTruthDiscovery:
         self._decay = decay
         self._weight_function = weight_function
         self._grouping = grouping
-        self._grouped_accounts = grouping.accounts if grouping is not None else frozenset()
-        self._source_names: Dict[AccountId, str] = {}
+        # Ids are numbered in order of first appearance: a dict keeps its
+        # keys in that order, so ``list(self._tasks)[code] == task``.
         # Task state: decayed weighted-average pair plus running claim
         # statistics (count/mean/m2) for distance normalization — the
         # streaming analogue of CRH's per-task spread.
-        self._task_index: Dict[TaskId, int] = {}
-        self._task_labels: List[TaskId] = []
+        self._tasks: Dict[TaskId, int] = {}
         self._numerator = np.zeros(0)
         self._mass = np.zeros(0)
         self._stat_count = np.zeros(0)
         self._stat_mean = np.zeros(0)
         self._stat_m2 = np.zeros(0)
-        # Source state: decayed cumulative error, keyed by interned id.
-        self._source_index: Dict[str, int] = {}
-        self._source_labels: List[str] = []
+        # Source state: decayed cumulative error, keyed by interned source
+        # name; each account's source code is looked up once.
+        self._sources: Dict[str, int] = {}
+        self._source_of_account: Dict[AccountId, int] = {}
         self._errors = np.zeros(0)
-        self._source_order: Optional[np.ndarray] = None
+        self._sorted_names: List[str] = []
+        self._source_order = np.zeros(0, dtype=np.intp)
         self._weights: Dict[str, float] = {}
         self._batches = 0
 
@@ -123,13 +124,13 @@ class StreamingTruthDiscovery:
     @property
     def truths(self) -> Dict[TaskId, float]:
         """Current truth estimate per task with any folded-in data."""
-        n = len(self._task_labels)
+        n = len(self._tasks)
         mass = self._mass[:n]
         with np.errstate(invalid="ignore", divide="ignore"):
             estimates = self._numerator[:n] / mass
         return {
             tid: float(estimates[j])
-            for j, tid in enumerate(self._task_labels)
+            for j, tid in enumerate(self._tasks)
             if mass[j] > EPS
         }
 
@@ -154,49 +155,35 @@ class StreamingTruthDiscovery:
 
     # ------------------------------------------------------------------
 
-    def _source_of(self, account_id: AccountId) -> str:
-        name = self._source_names.get(account_id)
-        if name is None:
-            if account_id in self._grouped_accounts:
-                name = f"g{self._grouping.group_index_of(account_id)}"
-            else:
-                name = str(account_id)
-            self._source_names[account_id] = name
-        return name
-
     def _intern(self, batch: List[Observation]):
-        """Map the batch to index arrays, registering unseen ids."""
-        src_idx = np.empty(len(batch), dtype=np.intp)
-        tsk_idx = np.empty(len(batch), dtype=np.intp)
-        values = np.empty(len(batch))
-        source_index = self._source_index
-        task_index = self._task_index
-        for k, obs in enumerate(batch):
-            source = self._source_of(obs.account_id)
-            si = source_index.get(source)
+        """Map the batch to index arrays, numbering unseen ids in order."""
+        grouping = self._grouping
+        sources = self._sources
+        source_of_account = self._source_of_account
+        tasks = self._tasks
+        src_idx, tsk_idx, values = [], [], []
+        for obs in batch:
+            si = source_of_account.get(obs.account_id)
             if si is None:
-                si = len(self._source_labels)
-                source_index[source] = si
-                self._source_labels.append(source)
-            ti = task_index.get(obs.task_id)
+                name = source_name(grouping, obs.account_id)
+                si = source_of_account[obs.account_id] = sources.setdefault(name, len(sources))
+            ti = tasks.get(obs.task_id)
             if ti is None:
-                ti = len(self._task_labels)
-                task_index[obs.task_id] = ti
-                self._task_labels.append(obs.task_id)
-            src_idx[k] = si
-            tsk_idx[k] = ti
-            values[k] = obs.value
-        n_tasks = len(self._task_labels)
-        n_sources = len(self._source_labels)
-        self._numerator = _grown(self._numerator, n_tasks)
-        self._mass = _grown(self._mass, n_tasks)
-        self._stat_count = _grown(self._stat_count, n_tasks)
-        self._stat_mean = _grown(self._stat_mean, n_tasks)
-        self._stat_m2 = _grown(self._stat_m2, n_tasks)
-        if len(self._errors) < n_sources:
-            self._errors = _grown(self._errors, n_sources)
-            self._source_order = None
-        return src_idx, tsk_idx, values
+                ti = tasks[obs.task_id] = len(tasks)
+            src_idx.append(si)
+            tsk_idx.append(ti)
+            values.append(obs.value)
+        self._numerator = _grown(self._numerator, len(tasks))
+        self._mass = _grown(self._mass, len(tasks))
+        self._stat_count = _grown(self._stat_count, len(tasks))
+        self._stat_mean = _grown(self._stat_mean, len(tasks))
+        self._stat_m2 = _grown(self._stat_m2, len(tasks))
+        self._errors = _grown(self._errors, len(sources))
+        return (
+            np.array(src_idx, dtype=np.intp),
+            np.array(tsk_idx, dtype=np.intp),
+            np.array(values, dtype=float),
+        )
 
     def _task_spreads(self, n_tasks: int) -> np.ndarray:
         """Per-task claim standard deviation (1.0 until it is meaningful)."""
@@ -238,10 +225,10 @@ class StreamingTruthDiscovery:
                 )
         self._batches += 1
 
-        n_tasks_pre = len(self._task_labels)
+        n_tasks_pre = len(self._tasks)
         src_idx, tsk_idx, values = self._intern(batch)
-        n_tasks = len(self._task_labels)
-        n_sources = len(self._source_labels)
+        n_tasks = len(self._tasks)
+        n_sources = len(self._sources)
         numerator = self._numerator[:n_tasks]
         mass = self._mass[:n_tasks]
         errors = self._errors[:n_sources]
@@ -274,12 +261,9 @@ class StreamingTruthDiscovery:
         )
         errors += np.bincount(cell_src, weights=cell_errors, minlength=n_sources)
 
-        order = self._sorted_sources()
+        order, names = self._sorted_sources()
         weight_vector = self._weight_function(errors[order])
-        self._weights = {
-            self._source_labels[i]: float(w)
-            for i, w in zip(order.tolist(), weight_vector)
-        }
+        self._weights = dict(zip(names, map(float, weight_vector)))
 
         # 3. Fold votes into truth states.  A zero-weight source still
         # nudges an *empty* task state so that some estimate exists;
@@ -329,19 +313,15 @@ class StreamingTruthDiscovery:
 
         return self.truths
 
-    def _sorted_sources(self) -> np.ndarray:
-        """Source indices in sorted-name order (cached between batches)."""
-        if self._source_order is None or len(self._source_order) != len(
-            self._source_labels
-        ):
-            self._source_order = np.array(
-                sorted(
-                    range(len(self._source_labels)),
-                    key=self._source_labels.__getitem__,
-                ),
-                dtype=np.intp,
+    def _sorted_sources(self) -> Tuple[np.ndarray, List[str]]:
+        """Source codes and names in sorted-name order (cached between batches)."""
+        sources = self._sources
+        if len(self._sorted_names) != len(sources):
+            self._sorted_names = sorted(sources)
+            self._source_order = np.fromiter(
+                map(sources.__getitem__, self._sorted_names), np.intp, len(sources)
             )
-        return self._source_order
+        return self._source_order, self._sorted_names
 
     def _merge_claim_stats(
         self, tsk_idx: np.ndarray, values: np.ndarray, n_tasks: int

@@ -219,3 +219,14 @@ class Grouping:
         return Grouping.from_groups(
             [members & keep for members in self.groups if members & keep]
         )
+
+
+def source_name(grouping: Optional[Grouping], account_id: AccountId) -> str:
+    """The source an account votes as in the streaming and categorical engines.
+
+    Algorithm 2 makes each group one source: an account the grouping
+    covers is ``g{group index}``; any other account is ``str(account_id)``.
+    """
+    if grouping is not None and account_id in grouping:
+        return f"g{grouping.group_index_of(account_id)}"
+    return str(account_id)

@@ -25,7 +25,7 @@ from repro.experiments.sweeps import (
     LEGIT_ACTIVENESS_PANELS,
     SYBIL_ACTIVENESS_LEVELS,
     CellResult,
-    run_panel,
+    run_panels,
 )
 
 
@@ -35,6 +35,11 @@ class Fig6Result:
 
     panels: Mapping[float, List[CellResult]]
     methods: Tuple[str, ...]
+
+    @classmethod
+    def from_panels(cls, panels: Mapping[float, List[CellResult]]) -> "Fig6Result":
+        """The figure over an already-run grid (see ``run_panels``)."""
+        return cls(panels=panels, methods=tuple(next(iter(panels.values()))[0].ari))
 
     def render(self) -> str:
         parts = []
@@ -69,12 +74,6 @@ def run_fig6(
     base_seed: int = 1000,
 ) -> Fig6Result:
     """Run the full ARI sweep of Fig. 6."""
-    panels = {
-        legit: run_panel(
-            legit, sybil_levels=sybil_levels, n_trials=n_trials, base_seed=base_seed
-        )
-        for legit in legit_levels
-    }
-    some_panel = next(iter(panels.values()))
-    methods = tuple(some_panel[0].ari)
-    return Fig6Result(panels=panels, methods=methods)
+    return Fig6Result.from_panels(
+        run_panels(legit_levels, sybil_levels, n_trials=n_trials, base_seed=base_seed)
+    )

@@ -24,7 +24,7 @@ from repro.experiments.sweeps import (
     LEGIT_ACTIVENESS_PANELS,
     SYBIL_ACTIVENESS_LEVELS,
     CellResult,
-    run_panel,
+    run_panels,
 )
 
 #: Display names: the framework paired with grouping method X is "TD-X".
@@ -37,6 +37,11 @@ class Fig7Result:
 
     panels: Mapping[float, List[CellResult]]
     methods: Tuple[str, ...]
+
+    @classmethod
+    def from_panels(cls, panels: Mapping[float, List[CellResult]]) -> "Fig7Result":
+        """The figure over an already-run grid (see ``run_panels``)."""
+        return cls(panels=panels, methods=tuple(next(iter(panels.values()))[0].mae))
 
     def render(self) -> str:
         display = ["CRH"] + [_METHOD_RENAME.get(m, f"TD-{m}") for m in self.methods]
@@ -79,12 +84,6 @@ def run_fig7(
     base_seed: int = 1000,
 ) -> Fig7Result:
     """Run the full MAE sweep of Fig. 7."""
-    panels = {
-        legit: run_panel(
-            legit, sybil_levels=sybil_levels, n_trials=n_trials, base_seed=base_seed
-        )
-        for legit in legit_levels
-    }
-    some_panel = next(iter(panels.values()))
-    methods = tuple(some_panel[0].mae)
-    return Fig7Result(panels=panels, methods=methods)
+    return Fig7Result.from_panels(
+        run_panels(legit_levels, sybil_levels, n_trials=n_trials, base_seed=base_seed)
+    )

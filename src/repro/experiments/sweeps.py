@@ -148,3 +148,19 @@ def run_panel(
         )
         for sybil_activeness in sybil_levels
     ]
+
+
+def run_panels(
+    legit_levels: Sequence[float] = LEGIT_ACTIVENESS_PANELS,
+    sybil_levels: Sequence[float] = SYBIL_ACTIVENESS_LEVELS,
+    n_trials: int = 3,
+    base_seed: int = 1000,
+) -> Dict[float, List[CellResult]]:
+    """The whole grid: ``{legit activeness: run_panel(...)}``.  Fig. 6 reads
+    its ARIs and Fig. 7 its MAEs, so one sweep serves both figures."""
+    return {
+        legit: run_panel(
+            legit, sybil_levels=sybil_levels, n_trials=n_trials, base_seed=base_seed
+        )
+        for legit in legit_levels
+    }

@@ -16,6 +16,7 @@ from repro.core.truth_discovery import (
 from repro.core.types import Grouping
 from repro.errors import ConvergenceError, DataValidationError
 from repro.obs import NoopTracer, get_metrics, set_tracer, tracing_session
+from tests.core.campaigns import claims_80k
 from tests.core.categorical_oracle import oracle_discover
 
 
@@ -336,33 +337,11 @@ def test_vote_totals_add_in_claim_order():
     _assert_identical(result, oracle_discover(triples, weights))
 
 
-def _claims_80k_labels(seed, n_accounts=2000, n_tasks=500, n_groups=400, density=0.08):
-    """The ``claims-80k`` benchmark campaign's label triples and grouping.
-
-    Same draws as the benchmark's generator: truths U(-90, -60) dBm,
-    per-account noise, claims time-ordered, labels binned at 5 dBm, and a
-    random partition of the claiming accounts into ``n_groups`` groups.
-    """
-    rng = np.random.default_rng([seed, 80])
-    truths = rng.uniform(-90.0, -60.0, n_tasks)
-    noise_std = rng.uniform(1.0, 4.0, n_accounts)
-    claims = []
-    for i in range(n_accounts):
-        answered = np.flatnonzero(rng.random(n_tasks) < density)
-        values = truths[answered] + rng.normal(0.0, noise_std[i], len(answered))
-        stamps = rng.uniform(0.0, 8 * 3600.0, len(answered))
-        claims.extend(
-            (float(t), f"a{i:04d}", f"T{j:04d}", float(v))
-            for j, v, t in zip(answered, values, stamps)
-        )
-    claims.sort()
-    observed = {account for _, account, _, _ in claims}
-    members = {}
-    for i, group in enumerate(rng.integers(0, n_groups, n_accounts)):
-        if f"a{i:04d}" in observed:
-            members.setdefault(int(group), []).append(f"a{i:04d}")
-    triples = [(a, t, int(math.floor(v / 5.0))) for _, a, t, v in claims]
-    return triples, Grouping.from_groups(members.values())
+def _claims_80k_labels(seed):
+    """The ``claims-80k`` benchmark campaign's label triples (claims binned
+    at 5 dBm) and grouping."""
+    claims, grouping = claims_80k(seed)
+    return [(a, t, int(math.floor(v / 5.0))) for _, a, t, v in claims], grouping
 
 
 @pytest.mark.parametrize("grouped", [True, False])

@@ -57,3 +57,28 @@ class TestReport:
 
         text = generate_report(include_sweeps=False)
         assert text.count("```") % 2 == 0
+
+    def test_report_runs_the_fig6_fig7_grid_once(self, monkeypatch):
+        from repro.experiments import sweeps
+        from repro.experiments.fig6 import run_fig6
+        from repro.experiments.fig7 import run_fig7
+        from repro.experiments.report import generate_report
+
+        calls = []
+
+        def panel(legit, sybil_levels, n_trials, base_seed):
+            calls.append(legit)
+            return [
+                sweeps.CellResult(
+                    legit, s, n_trials, {"AG-TS": (legit * s, 0.0)},
+                    {"AG-TS": (legit + s, 0.0)}, (2 * s, 0.0),
+                )
+                for s in sybil_levels
+            ]
+
+        monkeypatch.setattr(sweeps, "run_panel", panel)
+        text = generate_report(trials=1)
+        assert calls == list(sweeps.LEGIT_ACTIVENESS_PANELS)
+        # The sections are the figures' own renders of that one grid.
+        assert run_fig6(n_trials=1).render() in text
+        assert run_fig7(n_trials=1).render() in text

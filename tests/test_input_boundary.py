@@ -146,6 +146,70 @@ def test_entry_points_raise_or_stay_finite(claims):
         _run_all(claims)
 
 
+@st.composite
+def campaigns_with_edge_groupings(draw):
+    """A campaign and a grouping that names unknown accounts, omits some
+    claiming accounts, or holds only unknown accounts."""
+    claims = draw(campaigns())
+    accounts = sorted({account for account, _, _, _ in claims})
+    unknown = ["x0", "x1", "x2"]
+    kind = draw(
+        st.sampled_from(["names unknown accounts", "omits accounts", "only unknown accounts"])
+    )
+    if kind == "names unknown accounts":
+        members = accounts + unknown[: draw(st.integers(1, 3))]
+    elif kind == "omits accounts":
+        members = draw(st.lists(st.sampled_from(accounts), max_size=len(accounts) - 1, unique=True))
+    else:
+        members = unknown[: draw(st.integers(1, 3))]
+    groups = {}
+    for account in members:
+        groups.setdefault(draw(st.integers(0, 2)), []).append(account)
+    return claims, Grouping.from_groups(groups.values())
+
+
+def _raises_typed_or_finite(run):
+    try:
+        result = run()
+    except ReproError:
+        return None
+    _check_result(result)
+    return result
+
+
+@given(campaigns_with_edge_groupings())
+@settings(max_examples=100, deadline=None)
+@example(([("a0", "T0", 1.0, 0.0), ("a1", "T0", 3.0, 1.0)], Grouping.from_groups([["a0", "zz"]])))
+@example(([("a0", "T0", 1.0, 0.0), ("a1", "T0", 3.0, 1.0)], Grouping.from_groups([["a1"]])))
+@example(([("a0", "T0", 1.0, 0.0), ("a1", "T0", 3.0, 1.0)], Grouping.from_groups([["y", "z"]])))
+def test_edge_groupings_raise_or_stay_finite(case):
+    claims, grouping = case
+    observations = [Observation(a, t, v, ts) for a, t, v, ts in claims]
+    tasks = [Task(t) for t in sorted({task for _, task, _, _ in claims})]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        try:
+            dataset = SensingDataset(tasks, observations)
+        except DataValidationError:
+            assert not _in_bounds(claims)
+        else:
+            for aggregation in ("mean", "median", "inverse_deviation"):
+                framework = SybilResistantTruthDiscovery(aggregation=aggregation)
+                _raises_typed_or_finite(lambda: framework.discover(dataset, grouping=grouping))
+        engine = StreamingTruthDiscovery(grouping=grouping)
+        try:
+            engine.observe(observations)
+        except DataValidationError:
+            assert not all(abs(v) <= MAX_ABS_VALUE for _, _, v, _ in claims)
+        else:
+            assert _finite(engine.truths.values()) and _finite(engine.weights.values())
+        labels = CategoricalClaims([(a, t, v) for a, t, v, _ in claims])
+        result = _raises_typed_or_finite(
+            lambda: CategoricalTruthDiscovery(grouping=grouping).discover(labels)
+        )
+        assert result is None or set(result.truths.values()) <= {v for _, _, v, _ in claims}
+
+
 @pytest.mark.parametrize("bad", [1e300, -1e101, float("inf"), float("nan")])
 def test_out_of_bound_values_rejected_at_ingest(bad):
     with pytest.raises(DataValidationError, match="value"):
