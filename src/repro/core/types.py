@@ -20,7 +20,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
 
-from repro.errors import PartitionError
+# MAX_ABS_VALUE, the ingest magnitude bound, is defined beside the errors that
+# enforce it and kept importable from here.
+from repro.errors import MAX_ABS_VALUE, PartitionError
 
 #: Identifier type for accounts.  Strings keep the paper's examples readable
 #: (accounts "4'", "4''", "4'''") while remaining hashable and sortable.
@@ -28,15 +30,6 @@ AccountId = str
 
 #: Identifier type for tasks (e.g. ``"T1"`` or ``"poi-3"``).
 TaskId = str
-
-#: Largest magnitude an ingested observation value or timestamp may have.
-#: Every algorithm squares differences of these numbers (Eq. 1 distances,
-#: CRH spreads, Eq. 8 DTW costs); at 1e100 the squares, summed over any
-#: realistic number of claims, stay far below float64's ~1.8e308 limit.
-#: ``SensingDataset`` and ``StreamingTruthDiscovery.observe`` reject
-#: anything larger, and anything non-finite.
-MAX_ABS_VALUE = 1e100
-
 
 @dataclass(frozen=True)
 class Task:

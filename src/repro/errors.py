@@ -9,6 +9,16 @@ that experiment harnesses can react differently to each.
 
 from __future__ import annotations
 
+#: Largest magnitude an ingested number may have: observation values and
+#: timestamps, and the points handed to k-means.  Every algorithm squares
+#: differences of these numbers (Eq. 1 distances, CRH spreads, Eq. 8 DTW
+#: costs, k-means distances); at 1e100 the squares, summed over any
+#: realistic number of claims or coordinates, stay far below float64's
+#: ~1.8e308 limit.  ``SensingDataset``, ``StreamingTruthDiscovery.observe``,
+#: ``KMeans.fit`` and ``sse_curve`` reject anything larger, and anything
+#: non-finite.  ``repro.core.types`` re-exports it.
+MAX_ABS_VALUE = 1e100
+
 
 class ReproError(Exception):
     """Base class for all errors raised by the :mod:`repro` library."""

@@ -21,7 +21,8 @@ from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.ml.kmeans import KMeans
+from repro.errors import DataValidationError
+from repro.ml.kmeans import MAX_ITERATIONS, TOLERANCE, _best_fits, validated_points
 from repro.obs import get_metrics, get_tracer
 
 
@@ -64,26 +65,28 @@ def sse_curve(
         k-means restarts per candidate.
     rng:
         Shared random generator across all fits.
+
+    Every fit of the scan runs as one batch (see :mod:`repro.ml.kmeans`),
+    with the same results and generator state as one ``KMeans(k,
+    n_init=n_init, rng=rng).fit(points)`` per candidate in ascending order.
     """
-    data = np.asarray(points, dtype=float)
+    data = validated_points(points)
     n = len(data)
-    if n == 0:
-        raise ValueError("cannot scan an empty point set")
     if k_max is None:
         k_max = n
     k_max = min(k_max, n)
     if k_max < 1:
-        raise ValueError(f"k_max must be >= 1, got {k_max}")
+        raise DataValidationError(f"k_max must be >= 1, got {k_max}")
+    if n_init < 1:
+        raise ValueError(f"n_init must be >= 1, got {n_init}")
     generator = rng if rng is not None else np.random.default_rng(0)
 
     candidates = tuple(range(1, k_max + 1))
     with get_tracer().span(
         "ml.elbow_scan", points=n, k_max=k_max
     ) as span:
-        sses = []
-        for k in candidates:
-            fit = KMeans(n_clusters=k, n_init=n_init, rng=generator).fit(data)
-            sses.append(fit.inertia)
+        fits = _best_fits(data, candidates, n_init, MAX_ITERATIONS, TOLERANCE, generator)
+        sses = [fit.inertia for fit in fits]
         k_star = _knee(candidates, sses)
         span.set("k", k_star)
     metrics = get_metrics()

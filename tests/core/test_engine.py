@@ -92,8 +92,21 @@ def reference_crh(
     dataset: SensingDataset,
     convergence: ConvergencePolicy = ConvergencePolicy(),
 ) -> Tuple[Dict[str, float], Dict[str, float], int]:
-    """The seed's dense Algorithm 1 loop (mean initializer/estimator)."""
+    """The seed's dense Algorithm 1 loop (mean initializer/estimator).
+
+    The rows are taken in the engine's order (``content_claims``), so every
+    column is summed in the same order as the engine sums it.  Floating-point
+    addition is not associative, and near an unstable fixed point of the
+    iteration (two sources mirrored about a truth) a one-ulp difference in a
+    column sum grows each round until it moves the truths by more than 1e-9
+    or changes the iteration the loop stops on.
+    """
     matrix, accounts, tasks = dataset.to_matrix()
+    _, row_idx, _ = ClaimMatrix.from_dataset(dataset).content_claims()
+    order = list(dict.fromkeys(row_idx.tolist()))
+    order += sorted(set(range(len(accounts))) - set(order))
+    matrix = matrix[order]
+    accounts = tuple(accounts[i] for i in order)
     answered = ~np.isnan(matrix)
     task_mask = answered.any(axis=0)
     with np.errstate(invalid="ignore"), warnings.catch_warnings():

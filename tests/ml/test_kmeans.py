@@ -1,9 +1,12 @@
 """k-means tests: seeding, convergence, repair, determinism."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from repro.errors import DataValidationError
+from repro.errors import MAX_ABS_VALUE, DataValidationError
+from repro.ml.elbow import sse_curve
 from repro.ml.kmeans import KMeans
 
 
@@ -93,3 +96,50 @@ class TestClustering:
         )
         result = KMeans(n_clusters=3, rng=rng).fit(points)
         assert len(set(result.labels.tolist())) == 3
+
+
+class TestBadPoints:
+    """Non-finite or overflowing coordinates raise a typed error before any
+    arithmetic (no RuntimeWarning, no numpy ``ValueError``)."""
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 1e200, -1e101])
+    def test_fit_rejects(self, rng, bad):
+        points = rng.normal(size=(6, 3))
+        points[4, 1] = bad
+        with pytest.raises(DataValidationError, match="finite and at most 1e\\+100"):
+            KMeans(n_clusters=2, rng=rng).fit(points)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, 1e200])
+    def test_sse_curve_rejects(self, rng, bad):
+        points = rng.normal(size=(6, 3))
+        points[0, 0] = bad
+        with pytest.raises(DataValidationError, match="finite"):
+            sse_curve(points, rng=rng)
+
+    def test_sse_curve_empty_and_k_max_errors_are_typed(self, rng):
+        with pytest.raises(DataValidationError, match="empty"):
+            sse_curve(np.empty((0, 2)), rng=rng)
+        with pytest.raises(DataValidationError, match="k_max"):
+            sse_curve(np.ones((3, 2)), k_max=0, rng=rng)
+
+    def test_the_bound_itself_is_accepted(self, rng):
+        points = np.array([[MAX_ABS_VALUE, 0.0], [-MAX_ABS_VALUE, 0.0], [0.0, 1.0]])
+        result = KMeans(n_clusters=2, rng=rng).fit(points)
+        assert np.isfinite(result.inertia)
+        assert np.isfinite(sse_curve(points, rng=rng).sse).all()
+
+
+def test_scan_memory_stays_bounded():
+    """A 120-point scan (960 fits, k up to 120) runs in batches: padded to
+    the largest k in one piece, its distance temporary alone would be
+    about 0.9 GB."""
+    rng = np.random.default_rng(3)
+    points = _blobs(rng, rng.normal(size=(6, 8)) * 10, per_cluster=20, spread=1.0)
+    assert points.shape == (120, 8)
+    tracemalloc.start()
+    try:
+        sse_curve(points, rng=rng)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2**20

@@ -9,13 +9,14 @@ from repro.core.categorical import CategoricalClaims, CategoricalTruthDiscovery
 from repro.core.dataset import SensingDataset
 from repro.core.framework import aggregate_inverse_deviation
 from repro.core.streaming import StreamingTruthDiscovery
-from repro.core.types import Observation
+from repro.core.types import Observation, Task
 from repro.core.truth_discovery import IterativeTruthDiscovery, crh_log_weights
 from repro.core.types import Grouping
 from repro.features import temporal
 from repro.metrics.accuracy import mean_absolute_error, root_mean_squared_error
 from repro.ml.metrics import adjusted_rand_index, pair_confusion, rand_index
 from repro.timeseries.dtw import dtw_distance, warping_path
+from tests.core.test_engine import reference_crh
 
 # ----------------------------------------------------------------------
 # Strategies
@@ -359,12 +360,16 @@ sparse_matrices = st.lists(
     ]
 )
 
+_NAN = float("nan")
+
 
 @given(sparse_matrices)
 @settings(max_examples=40, deadline=None)
+# Accounts 1 and 2 sit mirrored about T2's truth: an unstable fixed point
+# where one ulp of difference in a column sum decides the outcome.
+@example([[_NAN, _NAN, 0.0, _NAN], [_NAN, 0.0, 12.5, _NAN], [_NAN, 20.6875, 12.5, _NAN]])
+@example([[_NAN, _NAN, 0.0, _NAN], [_NAN, 0.0, 9.0, _NAN], [_NAN, 19.0, 9.0, _NAN]])
 def test_engine_crh_matches_dense_reference(matrix):
-    from tests.core.test_engine import reference_crh
-
     arr = np.asarray(matrix)
     assume(np.isfinite(arr).any(axis=1).all())  # every account claims something
     dataset = SensingDataset.from_matrix(matrix)
@@ -614,3 +619,85 @@ def test_clone_keeps_group_value_and_lowers_its_eq4_weight(legit, fabricated, cl
                 assert weight_after < weight_before
             else:
                 assert weight_after == weight_before == 0.0
+
+
+# ----------------------------------------------------------------------
+# AG-TS (Eq. 6) metamorphic properties
+# ----------------------------------------------------------------------
+
+
+@st.composite
+def task_sets(draw):
+    """2-8 accounts' task sets over 1-8 tasks (each account claims one or more)."""
+    m = draw(st.integers(1, 8))
+    n = draw(st.integers(2, 8))
+    sets = [
+        draw(st.sets(st.integers(0, m - 1), min_size=1, max_size=m)) for _ in range(n)
+    ]
+    return m, sets
+
+
+def _taskset_dataset(m, sets, names, extra_tasks=0):
+    tasks = [Task(f"T{j}") for j in range(m + extra_tasks)]
+    observations = [
+        Observation(name, f"T{j}", float(j), float(j))
+        for name, claimed in zip(names, sets)
+        for j in sorted(claimed)
+    ]
+    return SensingDataset(tasks, observations)
+
+
+def _rho_between_scores(m, sets, data):
+    """A threshold strictly between two Eq. 6 scores (or beyond them all).
+
+    Every score is an integer over ``m``; the threshold is a half-integer
+    over ``m``, so no score sits near it and the strict comparison cannot
+    flip on rounding.
+    """
+    numerators = set()
+    for a in range(len(sets)):
+        for b in range(a + 1, len(sets)):
+            together = len(sets[a] & sets[b])
+            alone = len(sets[a] ^ sets[b])
+            numerators.add((together - 2 * alone) * (together + alone))
+    ordered = sorted(numerators)
+    cuts = [ordered[0] - 0.5] + [x + 0.5 for x in ordered]
+    return data.draw(st.sampled_from(cuts)) / m
+
+
+def _as_sets(grouping):
+    return {frozenset(group) for group in grouping.groups}
+
+
+@given(task_sets(), st.data())
+@settings(max_examples=100, deadline=None)
+def test_agts_relabelled_accounts_give_relabelled_groups(case, data):
+    from repro.core.grouping import TaskSetGrouper
+
+    m, sets = case
+    names = [f"a{i}" for i in range(len(sets))]
+    renamed = data.draw(st.permutations(names))
+    rho = _rho_between_scores(m, sets, data)
+    grouper = TaskSetGrouper(threshold=rho)
+    before = grouper.group(_taskset_dataset(m, sets, names))
+    after = grouper.group(_taskset_dataset(m, sets, renamed))
+    rename = dict(zip(names, renamed))
+    assert _as_sets(after) == {frozenset(rename[a] for a in g) for g in _as_sets(before)}
+
+
+@given(task_sets(), st.data())
+@settings(max_examples=100, deadline=None)
+def test_agts_unclaimed_task_scales_affinities_by_m_over_m_plus_1(case, data):
+    # A task nobody claimed leaves T_ij and L_ij alone and raises m by one,
+    # so every Eq. 6 affinity scales by m / (m + 1): the grouping at
+    # rho * m / (m + 1) is the grouping at rho.
+    from repro.core.grouping import TaskSetGrouper
+
+    m, sets = case
+    names = [f"a{i}" for i in range(len(sets))]
+    rho = _rho_between_scores(m, sets, data)
+    before = TaskSetGrouper(threshold=rho).group(_taskset_dataset(m, sets, names))
+    after = TaskSetGrouper(threshold=rho * m / (m + 1)).group(
+        _taskset_dataset(m, sets, names, extra_tasks=1)
+    )
+    assert _as_sets(after) == _as_sets(before)
