@@ -14,6 +14,7 @@ bench:
 		&& PYTHONPATH=src python -m pytest benchmarks/ --benchmark-only \
 		|| echo "pytest-benchmark not installed; skipping bench (pip install pytest-benchmark)"
 
+# Regenerate BENCH_pipeline.json: the traced fig6 cell CI gates with tools/bench_check.py.
 bench-snapshot:
 	PYTHONPATH=src python benchmarks/bench_pipeline.py
 

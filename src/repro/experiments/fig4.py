@@ -27,7 +27,7 @@ from repro.core.grouping.trajectory import (
 from repro.core.types import Grouping
 from repro.experiments.paperdata import TABLE1_ACCOUNTS, paper_example_dataset
 from repro.experiments.reporting import describe_groups, render_matrix
-from repro.timeseries.dtw import dtw_distance
+from repro.timeseries.dtw import dtw_costs
 
 
 @dataclass(frozen=True)
@@ -68,18 +68,17 @@ def run_fig4(threshold: float = 1.0) -> Fig4Result:
     trajectories = [dataset.trajectory(a) for a in accounts]
     # Paper convention: raw (unnormalized) DTW costs, timestamps in hours.
     n = len(accounts)
+    rows, cols = np.triu_indices(n, k=1)
+    xs = [x for x, _ in trajectories]
+    ys = [y / 3600.0 for _, y in trajectories]
     dtw_tasks = np.zeros((n, n))
     dtw_times = np.zeros((n, n))
-    for i in range(n):
-        for j in range(i + 1, n):
-            xs_i, ys_i = trajectories[i]
-            xs_j, ys_j = trajectories[j]
-            dtw_tasks[i, j] = dtw_tasks[j, i] = dtw_distance(
-                xs_i, xs_j, normalized=False
-            )
-            dtw_times[i, j] = dtw_times[j, i] = dtw_distance(
-                ys_i / 3600.0, ys_j / 3600.0, normalized=False
-            )
+    dtw_tasks[rows, cols] = dtw_tasks[cols, rows] = dtw_costs(
+        [xs[i] for i in rows], [xs[j] for j in cols]
+    )
+    dtw_times[rows, cols] = dtw_times[cols, rows] = dtw_costs(
+        [ys[i] for i in rows], [ys[j] for j in cols]
+    )
     _, dissimilarity = trajectory_dissimilarity_matrix(dataset, accounts=accounts)
 
     grouping = TrajectoryGrouper(threshold=threshold).group(dataset)

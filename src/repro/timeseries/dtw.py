@@ -125,11 +125,20 @@ def warping_path(a: Sequence[float], b: Sequence[float]) -> Tuple[List[Tuple[int
         ``max(m, n) <= K <= m + n - 1``.
     total_cost:
         Sum of squared pointwise distances along the path.
+
+    The path is symmetric: ``warping_path(b, a)`` is this path with every
+    pair transposed, at the same total.
     """
     arr_a = _as_series(a, "a")
     arr_b = _as_series(b, "b")
     if len(arr_a) == 0 or len(arr_b) == 0:
         raise ValueError("DTW is undefined for empty series")
+    # The tables of (a, b) and (b, a) are exact transposes, but a
+    # backtrack breaks up/left ties in argument order: backtrack on one
+    # canonical order of the pair and transpose the path back.
+    swapped = (len(arr_b), arr_b.tobytes()) < (len(arr_a), arr_a.tobytes())
+    if swapped:
+        arr_a, arr_b = arr_b, arr_a
     cost = _cost_tables([arr_a], [arr_b])[:, :, 0]
     i, j = len(arr_a), len(arr_b)
     path: List[Tuple[int, int]] = []
@@ -146,33 +155,23 @@ def warping_path(a: Sequence[float], b: Sequence[float]) -> Tuple[List[Tuple[int
         )
         _, (i, j) = min(candidates, key=lambda item: item[0])
     path.reverse()
+    if swapped:
+        path = [(j, i) for i, j in path]
     return path, float(cost[len(arr_a), len(arr_b)])
 
 
-def dtw_distance(
-    a: Sequence[float],
-    b: Sequence[float],
-    normalized: bool = True,
-) -> float:
-    """DTW distance between two series per Eq. 7.
+def dtw_distance(a: Sequence[float], b: Sequence[float]) -> float:
+    """DTW distance between two series per Eq. 7: ``sqrt(total_cost / K)``.
 
-    Parameters
-    ----------
-    a, b:
-        The two numeric series; they may differ in length (the reason the
-        paper picks DTW over lockstep distances).
-    normalized:
-        If true (default, the paper's definition) return
-        ``sqrt(total_cost / K)`` where ``K`` is the optimal path length;
-        if false return the raw total cost (useful for tests against
-        hand-computed DP tables).
+    ``K`` is the length of the optimal warping path; ``a`` and ``b`` may
+    differ in length (the reason the paper picks DTW over lockstep
+    distances).  The raw accumulated costs (Eq. 8's summands, the
+    paper's Fig. 4 values) come from :func:`dtw_costs`.
     """
     metrics = get_metrics()
     metrics.counter("dtw.calls").inc()
     metrics.histogram("dtw.cells").observe(len(a) * len(b))
     path, total = warping_path(a, b)
-    if not normalized:
-        return total
     return float(np.sqrt(total / len(path)))
 
 
@@ -185,8 +184,8 @@ def dtw_costs(
 
     Pair ``p`` is ``(a_series[p], b_series[p])``.  The pairs are sorted
     by shape and run in blocks through one batched dynamic program, and
-    each pair reads its cost at ``r(m, n)``; values are bit-identical to
-    :func:`dtw_distance` with ``normalized=False``.
+    each pair reads its cost at ``r(m, n)``, the total of
+    :func:`warping_path`.
 
     ``abandon`` optionally gives the pairs a budget (one for all, or one
     per pair): a pair is
@@ -246,9 +245,9 @@ def dtw_cost(
 ) -> float:
     """Raw accumulated DTW cost of one pair, skipping path recovery.
 
-    The one-pair case of :func:`dtw_costs`: bit-identical to
-    :func:`dtw_distance` with ``normalized=False``, and ``inf`` when the
+    The one-pair case of :func:`dtw_costs`, and ``inf`` when the
     optional ``abandon`` budget is exhausted by a completed DP row.
+    ``perfbench/test_perfbench.py`` checks its DTW reference against it.
     """
     budget = None if abandon is None else [abandon]
     return float(dtw_costs([a], [b], abandon=budget)[0])

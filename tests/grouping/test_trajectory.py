@@ -11,11 +11,11 @@ from repro.core.grouping.trajectory import (
 from repro.experiments.paperdata import TABLE1_ACCOUNTS, paper_example_dataset
 from repro.graph.threshold import graph_from_dissimilarity, groups_from_components
 from repro.obs import get_metrics
-from repro.timeseries.dtw import dtw_distance
+from repro.timeseries.dtw import dtw_costs
 
 
 def _serial_dissimilarity_reference(dataset, timestamp_scale=3600.0):
-    """Eq. 8 with a per-pair dtw_distance loop."""
+    """Eq. 8 with a per-pair DTW loop."""
     trajectories = [
         (xs, ys / timestamp_scale)
         for xs, ys in (dataset.trajectory(a) for a in dataset.accounts)
@@ -28,9 +28,7 @@ def _serial_dissimilarity_reference(dataset, timestamp_scale=3600.0):
             if len(xi) == 0 or len(xj) == 0:
                 score = np.nan
             else:
-                score = dtw_distance(xi, xj, normalized=False) + dtw_distance(
-                    yi, yj, normalized=False
-                )
+                score = dtw_costs([xi], [xj])[0] + dtw_costs([yi], [yj])[0]
             matrix[i, j] = matrix[j, i] = score
     return matrix
 

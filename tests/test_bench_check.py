@@ -25,7 +25,6 @@ SNAPSHOT = {
     "stages": {"td.discover": {"count": 3, "total_s": 0.01}},
     "iterations": {"td.iteration": 80, "framework.iteration": 182},
     "counters": {"dtw.pairs_pruned": 393, "td.runs": 3},
-    "large_scenario": {"crh_s": 0.05},
 }
 
 
@@ -63,7 +62,6 @@ def test_timing_only_change_passes(bench_check, tmp_path, capsys):
     new = copy.deepcopy(SNAPSHOT)
     new["wall_s"] = 9.9
     new["stages"] = {"td.discover": {"count": 3, "total_s": 0.5}, "ingest.dataset": {}}
-    new["large_scenario"]["crh_s"] = 0.5
     new["host"]["cpu_count"] = 8
     new["python"] = "3.11.9"
     status, _ = _run(bench_check, tmp_path, capsys, new)

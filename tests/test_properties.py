@@ -15,7 +15,7 @@ from repro.core.types import Grouping
 from repro.features import temporal
 from repro.metrics.accuracy import mean_absolute_error, root_mean_squared_error
 from repro.ml.metrics import adjusted_rand_index, pair_confusion, rand_index
-from repro.timeseries.dtw import dtw_distance, warping_path
+from repro.timeseries.dtw import dtw_costs, dtw_distance, warping_path
 from tests.core.test_engine import reference_crh
 
 # ----------------------------------------------------------------------
@@ -106,10 +106,13 @@ def test_rand_index_in_unit_interval(pair):
 
 @given(series, series)
 @settings(max_examples=60)
+@example([0.0, 0.0, -1.0, 0.0], [0.0, 1.0, 0.0])  # up/left tie in the backtrack
 def test_dtw_symmetric_nonnegative(a, b):
     d_ab = dtw_distance(a, b)
     assert d_ab >= 0.0
-    assert d_ab == pytest.approx(dtw_distance(b, a), rel=1e-9, abs=1e-9)
+    assert d_ab == dtw_distance(b, a)
+    path, total = warping_path(a, b)
+    assert warping_path(b, a) == ([(j, i) for i, j in path], total)
 
 
 @given(series)
@@ -303,7 +306,7 @@ def test_categorical_truth_is_some_claimed_label(triples):
 def test_lb_kim_is_lower_bound(a, b):
     from repro.timeseries.bounds import lb_kim
 
-    dtw = dtw_distance(a, b, normalized=False)
+    dtw = dtw_costs([a], [b])[0]
     # Relative slack: at large magnitudes one float ulp exceeds any fixed
     # absolute tolerance.
     assert lb_kim(a, b) <= dtw + max(1e-6, 1e-9 * abs(dtw))

@@ -21,7 +21,7 @@ from repro.graph.threshold import graph_from_dissimilarity, groups_from_componen
 from repro.obs import MetricsRegistry, set_metrics
 from repro.obs.metrics import Histogram
 from repro.timeseries.bounds import lb_kim, lb_kim_pairs
-from repro.timeseries.dtw import dtw_cost, dtw_costs, warping_path
+from repro.timeseries.dtw import dtw_costs, warping_path
 
 from tests.timeseries.dtw_oracle import (
     OracleScores,
@@ -77,8 +77,8 @@ def test_batched_costs_equal_the_scalar_recurrence(pairs, budgeted):
         len(x) * len(y) for x, y in zip(a, b)
     )
     for k, (x, y) in enumerate(zip(a, b)):
-        budget = None if abandon is None else abandon[k]
-        assert dtw_cost(x, y, abandon=budget) == got[k]
+        budget = None if abandon is None else [abandon[k]]
+        assert dtw_costs([x], [y], abandon=budget)[0] == got[k]
 
 
 @given(short_series, short_series)

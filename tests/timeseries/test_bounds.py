@@ -6,7 +6,7 @@ import pytest
 from repro.core.grouping.trajectory import pairwise_trajectory_dissimilarity
 from repro.obs import MetricsRegistry, set_metrics
 from repro.timeseries.bounds import lb_kim
-from repro.timeseries.dtw import dtw_distance
+from repro.timeseries.dtw import dtw_costs
 
 
 class TestLBKim:
@@ -14,7 +14,7 @@ class TestLBKim:
         for _ in range(30):
             a = rng.normal(size=rng.integers(2, 10))
             b = rng.normal(size=rng.integers(2, 10))
-            assert lb_kim(a, b) <= dtw_distance(a, b, normalized=False) + 1e-9
+            assert lb_kim(a, b) <= dtw_costs([a], [b])[0] + 1e-9
 
     def test_identical_series_zero(self):
         assert lb_kim([1, 2, 3], [1, 2, 3]) == 0.0
@@ -56,7 +56,7 @@ class TestPrunedMatrix:
         matrix, _ = _pruned_matrix(series, threshold)
         for i in range(6):
             for j in range(i + 1, 6):
-                exact = dtw_distance(series[i], series[j], normalized=False)
+                exact = dtw_costs([series[i]], [series[j]])[0]
                 if exact < threshold:
                     # Must not have been pruned, and must be exact.
                     assert matrix[i, j] == exact

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core.grouping.trajectory import pairwise_trajectory_dissimilarity
-from repro.timeseries.dtw import dtw_distance, warping_path
+from repro.timeseries.dtw import dtw_costs, dtw_distance, warping_path
 
 
 class TestKnownValues:
@@ -13,15 +13,11 @@ class TestKnownValues:
 
     def test_constant_offset(self):
         # Equal-length constants offset by 1: every aligned pair costs 1.
-        assert dtw_distance([0, 0, 0], [1, 1, 1], normalized=False) == pytest.approx(
-            3.0
-        )
+        assert dtw_costs([[0, 0, 0]], [[1, 1, 1]])[0] == pytest.approx(3.0)
 
     def test_paper_fig4a_value(self):
         # Table III: X_1 = (1,2,3,4), X_2 = (2,3); raw cost 2 per Fig. 4(a).
-        assert dtw_distance(
-            [1, 2, 3, 4], [2, 3], normalized=False
-        ) == pytest.approx(2.0)
+        assert dtw_costs([[1, 2, 3, 4]], [[2, 3]])[0] == pytest.approx(2.0)
 
     def test_warping_absorbs_stretch(self):
         # A stretched copy aligns perfectly: zero cost despite different
@@ -32,10 +28,10 @@ class TestKnownValues:
         a, b = [0.0, 5.0, 1.0], [1.0, 2.0]
         path, total = warping_path(a, b)
         assert dtw_distance(a, b) == pytest.approx(np.sqrt(total / len(path)))
-        assert dtw_distance(a, b, normalized=False) == pytest.approx(total)
+        assert dtw_costs([a], [b])[0] == total
 
     def test_single_element_series(self):
-        assert dtw_distance([3.0], [7.0], normalized=False) == pytest.approx(16.0)
+        assert dtw_costs([[3.0]], [[7.0]])[0] == pytest.approx(16.0)
 
 
 class TestPathProperties:
@@ -85,7 +81,7 @@ class TestSymmetryAndBounds:
         a = rng.normal(size=10)
         b = rng.normal(size=10)
         lockstep = float(((a - b) ** 2).sum())
-        assert dtw_distance(a, b, normalized=False) <= lockstep + 1e-12
+        assert dtw_costs([a], [b])[0] <= lockstep + 1e-12
 
 
 def _distance_matrix(series):
@@ -108,4 +104,4 @@ class TestMatrix:
     def test_matrix_values_match_pairwise(self, rng):
         series = [rng.normal(size=5) for _ in range(3)]
         matrix = _distance_matrix(series)
-        assert matrix[0, 2] == dtw_distance(series[0], series[2], normalized=False)
+        assert matrix[0, 2] == dtw_costs([series[0]], [series[2]])[0]
