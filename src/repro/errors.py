@@ -19,6 +19,16 @@ from __future__ import annotations
 #: non-finite.  ``repro.core.types`` re-exports it.
 MAX_ABS_VALUE = 1e100
 
+#: Largest magnitude a fingerprint sample may have, under which every
+#: Table II feature is finite.  The highest power the features take is the
+#: fourth moment: deviations from the mean reach 2e70, whose fourth powers
+#: (1.6e281) summed over up to 1e27 samples stay below float64's ~1.8e308.
+#: The spectral quantities are far smaller (magnitudes at most
+#: ``samples * 1e70``, their squares and pairwise products).
+#: ``FingerprintCapture`` and the feature pass (``repro.features``) reject
+#: anything larger, and anything non-finite.
+MAX_ABS_SAMPLE = 1e70
+
 
 class ReproError(Exception):
     """Base class for all errors raised by the :mod:`repro` library."""
@@ -56,5 +66,6 @@ class FingerprintError(ReproError, ValueError):
 
     A fingerprint must contain the four sensor streams used by AG-FP
     (accelerometer magnitude and the three gyroscope axes), each with at
-    least two samples so that spectral features are defined.
+    least two samples so that spectral features are defined, and every
+    sample finite and within :data:`MAX_ABS_SAMPLE`.
     """

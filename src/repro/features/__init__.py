@@ -13,11 +13,18 @@ directly on numpy arrays:
 * :mod:`repro.features.extractor` — the pipeline that turns a fingerprint
   capture into one fixed-length feature vector (4 streams × 20 features,
   z-normalized across a population).
+
+The feature vector functions work along the last axis, so a
+``(rows, samples)`` block of equal-length streams is one pass (one
+``rfft(axis=1)``); :func:`feature_matrix` stacks a batch's streams into
+such blocks.
 """
 
 from repro.features.extractor import (
     FEATURE_NAMES,
     FeatureExtractor,
+    capture_features,
+    capture_streams,
     feature_matrix,
     stream_features,
 )
@@ -29,6 +36,8 @@ __all__ = [
     "FeatureExtractor",
     "SPECTRAL_FEATURES",
     "TEMPORAL_FEATURES",
+    "capture_features",
+    "capture_streams",
     "feature_matrix",
     "spectral_feature_vector",
     "stream_features",

@@ -14,12 +14,12 @@ zero rather than divided by a zero spread.
 
 from __future__ import annotations
 
-from typing import List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro._nputil import EPS
-from repro.errors import FingerprintError
+from repro.errors import MAX_ABS_SAMPLE, FingerprintError
 from repro.features.spectral import SPECTRAL_FEATURES, spectral_feature_vector
 from repro.features.temporal import TEMPORAL_FEATURES, temporal_feature_vector
 
@@ -34,12 +34,80 @@ FEATURE_NAMES: Tuple[str, ...] = tuple(
 )
 
 
+#: Most samples stacked into one feature block (512 KiB of float64), so a
+#: large population's temporaries stay bounded.
+_BLOCK_SAMPLES = 1 << 16
+
+
+def _check_samples(name: str, signal: np.ndarray) -> None:
+    if not np.isfinite(signal).all():
+        raise FingerprintError(f"stream {name!r} has non-finite samples")
+    if len(signal) and np.abs(signal).max() > MAX_ABS_SAMPLE:
+        raise FingerprintError(
+            f"stream {name!r} has samples beyond +/-{MAX_ABS_SAMPLE:g}"
+        )
+
+
+def _block_features(block: np.ndarray) -> np.ndarray:
+    return np.concatenate(
+        [temporal_feature_vector(block), spectral_feature_vector(block)], axis=1
+    )
+
 
 def stream_features(signal: Sequence[float]) -> np.ndarray:
-    """The 20 Table II features (9 temporal + 11 spectral) of one stream."""
-    return np.concatenate(
-        [temporal_feature_vector(signal), spectral_feature_vector(signal)]
-    )
+    """The 20 Table II features (9 temporal + 11 spectral) of one stream.
+
+    A 1-D signal gives shape ``(20,)``; a ``(rows, samples)`` block of
+    equal-length streams gives ``(rows, 20)``, row ``r`` equal byte for byte
+    to ``stream_features(signal[r])``.
+
+    Raises
+    ------
+    FingerprintError
+        If a sample is non-finite or beyond ``MAX_ABS_SAMPLE``.
+    ValueError
+        If the signal is not 1-D or 2-D or has fewer than 2 samples.
+    """
+    arr = np.asarray(signal, dtype=float)
+    _check_samples("signal", arr.ravel())
+    if arr.ndim == 1:
+        return _block_features(arr[None])[0]
+    if arr.ndim != 2:
+        raise ValueError(
+            f"signal must be one-dimensional or a (rows, samples) block, got shape {arr.shape}"
+        )
+    return _block_features(arr)
+
+
+def capture_streams(streams: Mapping[str, Sequence[float]]) -> List[np.ndarray]:
+    """The four :data:`STREAM_NAMES` streams of a capture, checked, as float arrays.
+
+    Extra keys are ignored.
+
+    Raises
+    ------
+    FingerprintError
+        If a required stream is missing, is not 1-D, has fewer than 2
+        samples, or has a non-finite sample or one beyond
+        :data:`repro.errors.MAX_ABS_SAMPLE`.
+    """
+    signals: List[np.ndarray] = []
+    for name in STREAM_NAMES:
+        if name not in streams:
+            raise FingerprintError(f"fingerprint capture is missing stream {name!r}")
+        signal = np.asarray(streams[name], dtype=float)
+        if signal.ndim != 1:
+            raise FingerprintError(
+                f"stream {name!r} must be one-dimensional, got shape {signal.shape}"
+            )
+        if len(signal) < 2:
+            raise FingerprintError(
+                f"stream {name!r} has {len(signal)} samples; "
+                "spectral features need at least 2"
+            )
+        _check_samples(name, signal)
+        signals.append(signal)
+    return signals
 
 
 def capture_features(streams: Mapping[str, Sequence[float]]) -> np.ndarray:
@@ -54,30 +122,34 @@ def capture_features(streams: Mapping[str, Sequence[float]]) -> np.ndarray:
     Raises
     ------
     FingerprintError
-        If a required stream is missing or too short for spectral
-        features.
+        As :func:`capture_streams`.
     """
-    parts: List[np.ndarray] = []
-    for name in STREAM_NAMES:
-        if name not in streams:
-            raise FingerprintError(f"fingerprint capture is missing stream {name!r}")
-        signal = np.asarray(streams[name], dtype=float)
-        if len(signal) < 2:
-            raise FingerprintError(
-                f"stream {name!r} has {len(signal)} samples; "
-                "spectral features need at least 2"
-            )
-        parts.append(stream_features(signal))
-    return np.concatenate(parts)
+    return feature_matrix([streams])[0]
 
 
 def feature_matrix(
     captures: Sequence[Mapping[str, Sequence[float]]],
 ) -> np.ndarray:
-    """Stack raw capture features into an ``(n, 80)`` matrix."""
+    """Stack raw capture features into an ``(n, 80)`` matrix.
+
+    Every stream of every capture becomes one row of a ``(rows, samples)``
+    block, one block per stream length (split at ``_BLOCK_SAMPLES``), and
+    the 20 features run once per block.  Each capture's row is the bytes
+    :func:`capture_features` gives it alone, whatever else is in the batch.
+    """
     if len(captures) == 0:
         raise FingerprintError("need at least one capture")
-    return np.vstack([capture_features(capture) for capture in captures])
+    signals = [signal for capture in captures for signal in capture_streams(capture)]
+    by_length: Dict[int, List[int]] = {}
+    for row, signal in enumerate(signals):
+        by_length.setdefault(len(signal), []).append(row)
+    features = np.empty((len(signals), len(TEMPORAL_FEATURES) + len(SPECTRAL_FEATURES)))
+    for length, rows in by_length.items():
+        step = max(1, _BLOCK_SAMPLES // length)
+        for start in range(0, len(rows), step):
+            chunk = rows[start : start + step]
+            features[chunk] = _block_features(np.stack([signals[r] for r in chunk]))
+    return features.reshape(len(captures), len(FEATURE_NAMES))
 
 
 class FeatureExtractor:

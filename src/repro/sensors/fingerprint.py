@@ -19,6 +19,7 @@ import numpy as np
 
 from repro.core.types import AccountId
 from repro.errors import FingerprintError
+from repro.features.extractor import capture_streams
 from repro.sensors.device import MEMSDevice
 from repro.sensors.streams import StationaryCaptureConfig, synthesize_stationary_motion
 
@@ -34,7 +35,9 @@ class FingerprintCapture:
         the *device* behind it is exactly what AG-FP tries to infer).
     streams:
         The four named streams: ``accel_magnitude``, ``gyro_x``,
-        ``gyro_y``, ``gyro_z``, each a 1-D float array of equal length.
+        ``gyro_y``, ``gyro_z``, each a 1-D float array of equal length,
+        checked by :func:`repro.features.extractor.capture_streams`
+        (finite samples within ``repro.errors.MAX_ABS_SAMPLE``).
     sample_rate:
         Samples per second of every stream.
     device_id:
@@ -49,17 +52,7 @@ class FingerprintCapture:
     device_id: str = ""
 
     def __post_init__(self) -> None:
-        required = ("accel_magnitude", "gyro_x", "gyro_y", "gyro_z")
-        lengths = set()
-        for name in required:
-            if name not in self.streams:
-                raise FingerprintError(f"capture is missing stream {name!r}")
-            stream = np.asarray(self.streams[name])
-            if stream.ndim != 1 or len(stream) < 2:
-                raise FingerprintError(
-                    f"stream {name!r} must be 1-D with >= 2 samples"
-                )
-            lengths.add(len(stream))
+        lengths = {len(stream) for stream in capture_streams(self.streams)}
         if len(lengths) != 1:
             raise FingerprintError(f"streams have unequal lengths: {sorted(lengths)}")
 

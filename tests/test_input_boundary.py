@@ -3,7 +3,8 @@
 Huge values, a single account, a single claim and constant columns must
 either raise a :mod:`repro.errors` type or give finite results, and must
 never emit a ``RuntimeWarning`` (an overflow there used to turn into
-meaningless finite truths).
+meaningless finite truths).  Fingerprint samples have their own bound,
+``MAX_ABS_SAMPLE``.
 """
 
 import math
@@ -37,7 +38,14 @@ from repro.core import (
     reciprocal_weights,
 )
 from repro.core.types import MAX_ABS_VALUE
-from repro.errors import DataValidationError, ReproError
+from repro.errors import MAX_ABS_SAMPLE, DataValidationError, FingerprintError, ReproError
+from repro.features.extractor import (
+    STREAM_NAMES,
+    FeatureExtractor,
+    feature_matrix,
+    stream_features,
+)
+from repro.sensors.fingerprint import FingerprintCapture
 
 #: Values at and beyond the ingest bound, tiny and ordinary ones.
 values = st.sampled_from(
@@ -367,3 +375,57 @@ def test_json_loaders_name_the_bad_payload(tmp_path, loader, payload, message):
     with pytest.raises(DataValidationError) as info:
         getattr(repro.io, loader)(path)
     assert str(info.value) == message
+
+
+# ----------------------------------------------------------------------
+# Fingerprint samples (AG-FP)
+# ----------------------------------------------------------------------
+
+
+@st.composite
+def bounded_captures(draw):
+    """Captures whose samples reach the sample bound: noise from subnormal
+    to beyond-the-bound scales clipped to it, and constants at it."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(2, 64))
+    captures = []
+    for index in range(draw(st.integers(2, 4))):
+        streams = {}
+        for name in STREAM_NAMES:
+            if draw(st.booleans()):
+                scale = 10.0 ** draw(st.floats(-320, 75))
+                signal = np.clip(rng.normal(size=n) * scale, -MAX_ABS_SAMPLE, MAX_ABS_SAMPLE)
+            else:
+                signal = np.full(n, draw(st.sampled_from([MAX_ABS_SAMPLE, -MAX_ABS_SAMPLE, 5e-324])))
+            streams[name] = signal
+        captures.append(FingerprintCapture(f"a{index}", streams, 50.0))
+    return captures
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@given(bounded_captures())
+@settings(max_examples=80, deadline=None)
+def test_fingerprint_features_finite_up_to_the_sample_bound(captures):
+    raw = feature_matrix([capture.streams for capture in captures])
+    assert np.isfinite(raw).all()
+    grouper = FingerprintGrouper()
+    features = grouper.project_features(captures)
+    assert np.isfinite(features).all()
+    assert len(grouper.cluster(features)) == len(captures)
+
+
+@pytest.mark.parametrize(
+    "bad", [float("nan"), float("inf"), -float("inf"), np.nextafter(MAX_ABS_SAMPLE, np.inf), -1e100]
+)
+def test_out_of_bound_fingerprint_samples_rejected(bad):
+    streams = {name: np.linspace(-1.0, 1.0, 30) for name in STREAM_NAMES}
+    streams["gyro_y"] = streams["gyro_y"].copy()
+    streams["gyro_y"][7] = bad
+    with pytest.raises(FingerprintError, match="gyro_y"):
+        FingerprintCapture("a", streams, 50.0)
+    with pytest.raises(FingerprintError, match="gyro_y"):
+        feature_matrix([streams])
+    with pytest.raises(FingerprintError, match="gyro_y"):
+        FeatureExtractor().fit_transform([streams])
+    with pytest.raises(FingerprintError):
+        stream_features(streams["gyro_y"])

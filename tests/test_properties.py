@@ -704,3 +704,65 @@ def test_agts_unclaimed_task_scales_affinities_by_m_over_m_plus_1(case, data):
         _taskset_dataset(m, sets, names, extra_tasks=1)
     )
     assert _as_sets(after) == _as_sets(before)
+
+
+def _refines(fine, coarse):
+    """Every group of ``fine`` lies inside one group of ``coarse``."""
+    return fine.accounts == coarse.accounts and all(
+        any(group <= other for other in _as_sets(coarse)) for group in _as_sets(fine)
+    )
+
+
+@given(task_sets(), st.data())
+@settings(max_examples=100, deadline=None)
+def test_agts_raising_rho_refines_the_partition(case, data):
+    # An Eq. 6 edge needs a score strictly above rho, so the edges at a
+    # higher rho are a subset of those at a lower one.
+    from repro.core.grouping import TaskSetGrouper
+
+    m, sets = case
+    dataset = _taskset_dataset(m, sets, [f"a{i}" for i in range(len(sets))])
+    low, high = sorted([_rho_between_scores(m, sets, data) for _ in range(2)])
+    coarse = TaskSetGrouper(threshold=low).group(dataset)
+    fine = TaskSetGrouper(threshold=high).group(dataset)
+    assert _refines(fine, coarse)
+
+
+@st.composite
+def hourly_trajectories(draw):
+    """2-6 accounts, each claiming 1-5 of 5 tasks at whole hours.
+
+    Task indexes and hour timestamps are integers, so every Eq. 8 score
+    (a sum of two raw DTW costs) is an integer.
+    """
+    accounts = []
+    for _ in range(draw(st.integers(2, 6))):
+        tasks = draw(st.lists(st.integers(0, 4), min_size=1, max_size=5, unique=True))
+        hours = draw(st.lists(st.integers(0, 6), min_size=len(tasks), max_size=len(tasks)))
+        accounts.append(list(zip(tasks, hours)))
+    return accounts
+
+
+@given(hourly_trajectories(), st.data())
+@settings(max_examples=100, deadline=None)
+def test_agtr_lowering_phi_refines_the_partition(accounts, data):
+    # An Eq. 8 edge needs a score strictly below phi, so the edges at a
+    # lower phi are a subset of those at a higher one.  Both thresholds sit
+    # half-way between integer scores, away from every pair's score.
+    from repro.core.grouping import TrajectoryGrouper
+    from repro.core.grouping.trajectory import trajectory_dissimilarity_matrix
+
+    observations = [
+        Observation(f"a{i}", f"T{task}", float(task), 3600.0 * hour)
+        for i, claims in enumerate(accounts)
+        for task, hour in claims
+    ]
+    dataset = SensingDataset([Task(f"T{j}") for j in range(5)], observations)
+    _, matrix = trajectory_dissimilarity_matrix(dataset)
+    scores = matrix[np.triu_indices(len(matrix), 1)]
+    assert (scores == np.round(scores)).all()
+    cuts = [scores.min() - 0.5] + [s + 0.5 for s in sorted(set(scores.tolist()))]
+    low, high = sorted(data.draw(st.sampled_from(cuts)) for _ in range(2))
+    fine = TrajectoryGrouper(threshold=low).group(dataset)
+    coarse = TrajectoryGrouper(threshold=high).group(dataset)
+    assert _refines(fine, coarse)
