@@ -3,8 +3,8 @@
 These are conventional timing benchmarks (multiple rounds) of the pieces
 whose cost the paper discusses: AG-FP's Table II feature pass,
 k-means/elbow (AG-FP's ``O(nkdi)``), the quadratic DTW dynamic program,
-CRH iteration, and the end-to-end framework on a population an order of
-magnitude beyond the paper's 18 accounts.
+CRH iteration, streaming replay, and the end-to-end framework on a
+population an order of magnitude beyond the paper's 18 accounts.
 """
 
 import numpy as np
@@ -110,6 +110,27 @@ def test_bench_streaming_engine(benchmark):
         return engine.truths
 
     benchmark(run)
+
+
+def test_bench_streaming_replay(benchmark):
+    """A grouped replay of an 80k-claim draw in 600 s windows.
+
+    2000 accounts x 500 tasks at density 0.08 over eight hours, so the
+    replay folds 48 windows through the engine.
+    """
+    from repro.core.streaming import StreamingTruthDiscovery, replay_dataset
+    from repro.core.types import Observation
+    from tests.core.campaigns import claims_80k
+
+    claims, grouping = claims_80k(seed=31)
+    observations = [Observation(a, t, v, ts) for ts, a, t, v in claims]
+
+    def run():
+        engine = StreamingTruthDiscovery(decay=0.9, grouping=grouping)
+        return engine, replay_dataset(engine, observations, batch_seconds=600.0)
+
+    engine, truths = benchmark(run)
+    assert engine.batches_seen == 48 and len(truths) == 500
 
 
 def test_bench_pruned_dtw_matrix(benchmark):

@@ -24,11 +24,13 @@ for dynamic truth discovery.
 
 Internally the state lives in flat numpy arrays indexed by interned
 source/task ids — the streaming counterpart of the batch claim-matrix
-engine (:mod:`repro.core.engine`).  Each ``observe`` call compacts the
-batch into ``(source, task)`` vote cells with ``np.unique`` and folds
-them in with the same ``np.bincount`` segment-sums the batch kernels
-use; per-task claim statistics merge via Chan's parallel variance
-update instead of per-claim Welford steps.
+engine (:mod:`repro.core.engine`).  Each batch is compacted into
+``(source, task)`` vote cells with ``np.unique`` and folded in with the
+same ``np.bincount`` segment-sums the batch kernels use; per-task claim
+statistics merge via Chan's parallel variance update instead of
+per-claim Welford steps.  ``observe`` and :func:`replay_dataset` share
+that one fold: a replay sorts, validates and interns the whole recorded
+stream once, then folds each time window from slices of its arrays.
 """
 
 from __future__ import annotations
@@ -141,7 +143,7 @@ class StreamingTruthDiscovery:
 
     @property
     def batches_seen(self) -> int:
-        """Number of ``observe`` calls folded in so far."""
+        """Number of batches folded in so far: ``observe`` calls and replay windows."""
         return self._batches
 
     def snapshot(self) -> TruthDiscoveryResult:
@@ -155,34 +157,33 @@ class StreamingTruthDiscovery:
 
     # ------------------------------------------------------------------
 
-    def _intern(self, batch: List[Observation]):
-        """Map the batch to index arrays, numbering unseen ids in order."""
+    def _intern(
+        self, accounts: List[AccountId], tasks: List[TaskId]
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """Source and task codes of the claim columns.
+
+        Unseen ids are numbered in order of first appearance, and the
+        state arrays grow to hold them.
+        """
         grouping = self._grouping
         sources = self._sources
         source_of_account = self._source_of_account
-        tasks = self._tasks
-        src_idx, tsk_idx, values = [], [], []
-        for obs in batch:
-            si = source_of_account.get(obs.account_id)
-            if si is None:
-                name = source_name(grouping, obs.account_id)
-                si = source_of_account[obs.account_id] = sources.setdefault(name, len(sources))
-            ti = tasks.get(obs.task_id)
-            if ti is None:
-                ti = tasks[obs.task_id] = len(tasks)
-            src_idx.append(si)
-            tsk_idx.append(ti)
-            values.append(obs.value)
-        self._numerator = _grown(self._numerator, len(tasks))
-        self._mass = _grown(self._mass, len(tasks))
-        self._stat_count = _grown(self._stat_count, len(tasks))
-        self._stat_mean = _grown(self._stat_mean, len(tasks))
-        self._stat_m2 = _grown(self._stat_m2, len(tasks))
+        for account in dict.fromkeys(accounts):
+            if account not in source_of_account:
+                name = source_name(grouping, account)
+                source_of_account[account] = sources.setdefault(name, len(sources))
+        task_codes = self._tasks
+        for task in dict.fromkeys(tasks):
+            task_codes.setdefault(task, len(task_codes))
+        self._numerator = _grown(self._numerator, len(task_codes))
+        self._mass = _grown(self._mass, len(task_codes))
+        self._stat_count = _grown(self._stat_count, len(task_codes))
+        self._stat_mean = _grown(self._stat_mean, len(task_codes))
+        self._stat_m2 = _grown(self._stat_m2, len(task_codes))
         self._errors = _grown(self._errors, len(sources))
         return (
-            np.array(src_idx, dtype=np.intp),
-            np.array(tsk_idx, dtype=np.intp),
-            np.array(values, dtype=float),
+            np.fromiter(map(source_of_account.__getitem__, accounts), np.intp, len(accounts)),
+            np.fromiter(map(task_codes.__getitem__, tasks), np.intp, len(tasks)),
         )
 
     def _task_spreads(self, n_tasks: int) -> np.ndarray:
@@ -217,18 +218,40 @@ class StreamingTruthDiscovery:
         batch = list(observations)
         if not batch:
             return self.truths
-        for obs in batch:
-            if not abs(obs.value) <= MAX_ABS_VALUE:
-                raise DataValidationError(
-                    f"observation value for ({obs.account_id!r}, {obs.task_id!r}) "
-                    f"{bound_violation(obs.value)}"
-                )
-        self._batches += 1
-
+        values = np.array([obs.value for obs in batch], dtype=float)
+        bad = _first_out_of_bound(values)
+        if bad >= 0:
+            raise _bound_error(batch[bad], "value")
         n_tasks_pre = len(self._tasks)
-        src_idx, tsk_idx, values = self._intern(batch)
-        n_tasks = len(self._tasks)
-        n_sources = len(self._sources)
+        src_idx, tsk_idx = self._intern(
+            [obs.account_id for obs in batch], [obs.task_id for obs in batch]
+        )
+        order, names = self._sorted_sources()
+        weight_vector = self._fold(
+            src_idx, tsk_idx, values,
+            n_tasks_pre, len(self._tasks), len(self._sources), order,
+        )
+        self._weights = dict(zip(names, map(float, weight_vector)))
+        return self.truths
+
+    def _fold(
+        self,
+        src_idx: np.ndarray,
+        tsk_idx: np.ndarray,
+        values: np.ndarray,
+        n_tasks_pre: int,
+        n_tasks: int,
+        n_sources: int,
+        order: np.ndarray,
+    ) -> np.ndarray:
+        """Fold one interned batch into the state (steps 1-3 of :meth:`observe`).
+
+        The batch sees the first ``n_tasks`` tasks and ``n_sources``
+        sources, of which ``n_tasks_pre`` tasks existed before it;
+        ``order`` lists those sources' codes in sorted-name order.
+        Returns their weights in that order.
+        """
+        self._batches += 1
         numerator = self._numerator[:n_tasks]
         mass = self._mass[:n_tasks]
         errors = self._errors[:n_sources]
@@ -261,9 +284,7 @@ class StreamingTruthDiscovery:
         )
         errors += np.bincount(cell_src, weights=cell_errors, minlength=n_sources)
 
-        order, names = self._sorted_sources()
         weight_vector = self._weight_function(errors[order])
-        self._weights = dict(zip(names, map(float, weight_vector)))
 
         # 3. Fold votes into truth states.  A zero-weight source still
         # nudges an *empty* task state so that some estimate exists;
@@ -274,7 +295,7 @@ class StreamingTruthDiscovery:
         by_source[order] = weight_vector
         cell_weights = by_source[cell_src]
         empty_task = mass <= EPS
-        first_claim = np.full(n_tasks, len(batch), dtype=np.intp)
+        first_claim = np.full(n_tasks, len(values), dtype=np.intp)
         np.minimum.at(first_claim, cell_tsk, first_pos)
         nudge = (
             empty_task[cell_tsk]
@@ -295,23 +316,54 @@ class StreamingTruthDiscovery:
         error_mass = float(errors.sum())
         metrics = get_metrics()
         metrics.counter("streaming.batches").inc()
-        metrics.counter("streaming.observations").inc(len(batch))
+        metrics.counter("streaming.observations").inc(len(values))
         metrics.gauge("streaming.error_mass").set(error_mass)
         metrics.gauge("streaming.active_sources").set(n_sources)
-        metrics.histogram("streaming.batch_size").observe(len(batch))
+        metrics.histogram("streaming.batch_size").observe(len(values))
         tracer = get_tracer()
         if tracer.enabled:
             tracer.event(
                 "streaming.batch",
                 batch=self._batches,
-                observations=len(batch),
+                observations=len(values),
                 batch_sources=len(np.unique(cell_src)),
                 active_sources=n_sources,
                 error_mass=error_mass,
                 tasks_tracked=n_tasks,
             )
+        return weight_vector
 
-        return self.truths
+    def _fold_windows(
+        self, batch: List[Observation], values: np.ndarray, stops: np.ndarray
+    ) -> None:
+        """Fold time-ordered claims in windows, window ``w`` ending at
+        ``stops[w]``: intern once, then one :meth:`_fold` per window.
+
+        Codes are numbered in order of first appearance, so the tasks and
+        sources a window sees are those with codes below the prefix max of
+        the codes up to its end; each fold gets exactly those slices.
+        """
+        n_tasks_before, n_sources_before = len(self._tasks), len(self._sources)
+        src_idx, tsk_idx = self._intern(
+            [obs.account_id for obs in batch], [obs.task_id for obs in batch]
+        )
+        last = stops - 1
+        task_counts = np.maximum(np.maximum.accumulate(tsk_idx)[last] + 1, n_tasks_before)
+        source_counts = np.maximum(
+            np.maximum.accumulate(src_idx)[last] + 1, n_sources_before
+        )
+        order, names = self._sorted_sources()
+        start, n_tasks_pre = 0, n_tasks_before
+        for stop, n_tasks, n_sources in zip(
+            stops.tolist(), task_counts.tolist(), source_counts.tolist()
+        ):
+            seen = order if n_sources == len(order) else order[order < n_sources]
+            weight_vector = self._fold(
+                src_idx[start:stop], tsk_idx[start:stop], values[start:stop],
+                n_tasks_pre, n_tasks, n_sources, seen,
+            )
+            start, n_tasks_pre = stop, n_tasks
+        self._weights = dict(zip(names, map(float, weight_vector)))
 
     def _sorted_sources(self) -> Tuple[np.ndarray, List[str]]:
         """Source codes and names in sorted-name order (cached between batches)."""
@@ -362,22 +414,84 @@ def replay_dataset(
 ) -> Dict[TaskId, float]:
     """Feed a recorded observation list through the engine in time order.
 
-    Observations are sorted by timestamp and cut into ``batch_seconds``
-    windows — the natural way to replay a
-    :class:`~repro.core.dataset.SensingDataset` as a stream.  Window
-    ``w`` holds the timestamps ``t`` with ``floor((t - t0) /
+    Observations are ordered by timestamp, then account, then input
+    order, and cut into ``batch_seconds`` windows — the natural way to
+    replay a :class:`~repro.core.dataset.SensingDataset` as a stream.
+    Window ``w`` holds the timestamps ``t`` with ``floor((t - t0) /
     batch_seconds) == w``, ``t0`` the earliest; empty windows are
-    skipped, so a gap between observations costs nothing.
+    skipped, so a gap between observations costs nothing.  Each window
+    folds in exactly as one :meth:`StreamingTruthDiscovery.observe` call
+    on it would.
+
+    Raises :class:`~repro.errors.DataValidationError` before any window
+    folds in if a timestamp is not finite or exceeds
+    :data:`~repro.core.types.MAX_ABS_VALUE`.  An out-of-bound value
+    raises the error ``observe`` raises for it, after every window
+    before the one that holds it has folded in.
+
+    The stream is sorted, validated and interned once; the windows then
+    fold in from slices of its code and value arrays.
     """
     if batch_seconds <= 0:
         raise DataValidationError(
             f"batch_seconds must be positive, got {batch_seconds}"
         )
-    ordered = sorted(observations, key=lambda o: (o.timestamp, o.account_id))
-    times = np.array([obs.timestamp for obs in ordered], dtype=float)
-    windows = np.floor((times - times[:1]) / batch_seconds)
-    bounds = [0, *(np.flatnonzero(windows[1:] != windows[:-1]) + 1).tolist(), len(ordered)]
-    for start, stop in zip(bounds[:-1], bounds[1:]):
-        if stop > start:
-            engine.observe(ordered[start:stop])
-    return engine.truths
+    batch = observations if isinstance(observations, list) else list(observations)
+    if not batch:
+        return engine.truths
+    times = np.array([obs.timestamp for obs in batch], dtype=float)
+    bad = _first_out_of_bound(times)
+    if bad >= 0:
+        raise _bound_error(batch[bad], "timestamp")
+    order = _time_order(batch, times)
+    if order is not None:
+        batch = list(map(batch.__getitem__, order.tolist()))
+        times = times[order]
+    values = np.array([obs.value for obs in batch], dtype=float)
+    windows = np.floor((times - times[0]) / batch_seconds)
+    stops = np.append(np.flatnonzero(windows[1:] != windows[:-1]) + 1, len(batch))
+    bad = _first_out_of_bound(values)
+    if bad < 0:
+        engine._fold_windows(batch, values, stops)
+        return engine.truths
+    stops = stops[stops <= bad]
+    if len(stops):
+        engine._fold_windows(batch[: stops[-1]], values, stops)
+    raise _bound_error(batch[bad], "value")
+
+
+def _first_out_of_bound(numbers: np.ndarray) -> int:
+    """Index of the first entry failing ``abs(x) <= MAX_ABS_VALUE``, or -1."""
+    bad = ~(np.abs(numbers) <= MAX_ABS_VALUE)
+    return int(bad.argmax()) if bad.any() else -1
+
+
+def _bound_error(obs: Observation, field: str) -> DataValidationError:
+    """The error for an observation whose ``field`` failed the bound check."""
+    return DataValidationError(
+        f"observation {field} for ({obs.account_id!r}, {obs.task_id!r}) "
+        f"{bound_violation(getattr(obs, field))}"
+    )
+
+
+def _time_order(batch: List[Observation], times: np.ndarray) -> Optional[np.ndarray]:
+    """Indices that sort ``batch`` by ``(timestamp, account_id)``, stably;
+    ``None`` if it is in that order already.
+
+    A stable argsort orders the timestamps, and accounts are compared only
+    within runs of equal timestamps, where a tuple-key sort compares them.
+    """
+    order = np.argsort(times, kind="stable")
+    ordered = times[order]
+    cuts = np.flatnonzero(ordered[1:] != ordered[:-1]) + 1
+    if len(cuts) + 1 < len(order):
+        starts = np.append(0, cuts)
+        stops = np.append(cuts, len(order))
+        tied = stops - starts > 1
+        for start, stop in zip(starts[tied].tolist(), stops[tied].tolist()):
+            run = order[start:stop].tolist()
+            run.sort(key=lambda k: (batch[k].timestamp, batch[k].account_id))
+            order[start:stop] = run
+    if (order == np.arange(len(order))).all():
+        return None
+    return order

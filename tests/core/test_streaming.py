@@ -1,5 +1,6 @@
 """Streaming truth discovery tests: decay, tracking, Sybil grouping."""
 
+import math
 import time
 
 import numpy as np
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 from repro.core.streaming import StreamingTruthDiscovery, replay_dataset
 from repro.core.types import Grouping, Observation
 from repro.errors import DataValidationError
+from repro.obs import Tracer, set_tracer
 
 
 def _obs(account, task, value, t=0.0):
@@ -177,19 +179,8 @@ class TestReplay:
             replay_dataset(StreamingTruthDiscovery(), [], batch_seconds=0.0)
 
 
-class _Recorder:
-    """Stands in for the engine: records each batch ``observe`` gets."""
-
-    def __init__(self):
-        self.batches = []
-        self.truths = {}
-
-    def observe(self, batch):
-        self.batches.append(list(batch))
-
-
 def _stepping_replay(engine, observations, batch_seconds):
-    """The window loop ``replay_dataset`` used to run: one step per window."""
+    """The window loop ``replay_dataset`` used to run: one ``observe`` per window."""
     ordered = sorted(observations, key=lambda o: (o.timestamp, o.account_id))
     batch, window_end = [], None
     for obs in ordered:
@@ -205,6 +196,18 @@ def _stepping_replay(engine, observations, batch_seconds):
         engine.observe(batch)
 
 
+def _traced(replay, observations, batch_seconds):
+    """Truths, weights and ``streaming.batch`` events of one replay."""
+    engine, tracer = StreamingTruthDiscovery(), Tracer()
+    previous = set_tracer(tracer)
+    try:
+        replay(engine, observations, batch_seconds)
+    finally:
+        set_tracer(previous)
+    events = [(e.name, e.fields) for e in tracer.events if e.name == "streaming.batch"]
+    return engine.truths, engine.weights, events
+
+
 class TestReplayWindows:
     @settings(max_examples=200, deadline=None)
     @given(
@@ -212,11 +215,13 @@ class TestReplayWindows:
         st.sampled_from([1.0, 7.0, 60.0, 600.0]),
     )
     def test_same_batches_as_the_stepping_loop(self, stamps, batch_seconds):
-        observations = [_obs(f"a{k}", "T1", 1.0, float(t)) for k, t in enumerate(stamps)]
-        stepped, replayed = _Recorder(), _Recorder()
-        _stepping_replay(stepped, observations, batch_seconds)
-        replay_dataset(replayed, observations, batch_seconds)
-        assert replayed.batches == stepped.batches
+        observations = [
+            _obs(f"a{k}", f"T{k}", float(k), float(t)) for k, t in enumerate(stamps)
+        ]
+        stepped = _traced(_stepping_replay, observations, batch_seconds)
+        replayed = _traced(replay_dataset, observations, batch_seconds)
+        # repr is exact for floats and keeps dict order.
+        assert repr(replayed) == repr(stepped)
 
     @pytest.mark.parametrize(
         "stamps, batches",
@@ -227,8 +232,23 @@ class TestReplayWindows:
         ],
     )
     def test_huge_gaps_return_at_once(self, stamps, batches):
-        recorder = _Recorder()
+        engine = StreamingTruthDiscovery()
         start = time.perf_counter()
-        replay_dataset(recorder, [_obs(f"a{k}", "T1", 1.0, t) for k, t in enumerate(stamps)])
+        replay_dataset(engine, [_obs(f"a{k}", "T1", 1.0, t) for k, t in enumerate(stamps)])
         assert time.perf_counter() - start < 1.0
-        assert len(recorder.batches) == batches
+        assert engine.batches_seen == batches
+
+    @pytest.mark.parametrize(
+        "bad, why", [(math.nan, "is not finite"), (math.inf, "is not finite"),
+                     (1e101, "exceeds the 1e+100 magnitude bound")]
+    )
+    def test_out_of_bound_timestamp_raises_before_any_window(self, bad, why):
+        # Without the check, each NaN stamp became a window of its own and
+        # the window count depended on the input order.
+        engine = StreamingTruthDiscovery()
+        stamps = [0.0, bad, 5.0, bad, 1.0]
+        observations = [_obs(f"a{k}", "T1", 1.0, t) for k, t in enumerate(stamps)]
+        with pytest.raises(DataValidationError) as raised:
+            replay_dataset(engine, observations, batch_seconds=1.0)
+        assert str(raised.value) == f"observation timestamp for ('a1', 'T1') {why}: {bad!r}"
+        assert engine.batches_seen == 0 and engine.truths == {} and engine.weights == {}

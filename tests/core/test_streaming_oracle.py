@@ -107,3 +107,106 @@ def test_claims_80k_replay_matches_the_reference_loop(grouped):
     sources = len(grouping) if grouped else len({a for _, a, _, _ in claims})
     assert len(new[2]) == 48 and len(new[0][1]) == sources
     _assert_bit_identical(new, old)
+
+
+#: Few distinct stamps, so equal timestamps across accounts are common and
+#: windows of every batch size below hold several claims.
+STAMPS = [0.0, 1.0, 5.0, 59.5, 60.0, 61.0, 130.0, 600.0, 1200.0]
+
+
+@st.composite
+def replays(draw):
+    """A decay, a window length, an optional grouping (unknown accounts and
+    ``g0``/``g1`` accounts included), an optional ``observe`` batch run
+    first, then one or two shuffled recorded streams, some of them empty
+    and some with an out-of-bound value."""
+    grouping = None
+    if draw(st.booleans()):
+        members = draw(
+            st.lists(st.sampled_from(ACCOUNTS[:5] + ["x0", "x1"]), min_size=1, unique=True)
+        )
+        groups = {}
+        for account in members:
+            groups.setdefault(draw(st.integers(0, 2)), []).append(account)
+        grouping = Grouping.from_groups(groups.values())
+    claim = st.builds(
+        Observation,
+        st.sampled_from(ACCOUNTS),
+        st.sampled_from(TASKS),
+        st.floats(-100, 100),
+        st.sampled_from(STAMPS),
+    )
+    prelude = draw(st.lists(claim, max_size=4))
+    recorded = []
+    for _ in range(draw(st.integers(1, 2))):
+        stream = draw(st.permutations(draw(st.lists(claim, max_size=14))))
+        if stream and draw(st.integers(0, 3)) == 0:
+            k = draw(st.integers(0, len(stream) - 1))
+            bad = draw(st.sampled_from([1e101, -1e300, math.inf, math.nan]))
+            o = stream[k]
+            stream[k] = Observation(o.account_id, o.task_id, bad, o.timestamp)
+        recorded.append(stream)
+    decay = draw(st.sampled_from([1.0, 0.9, 0.5]))
+    return decay, draw(st.sampled_from([1.0, 7.0, 60.0, 600.0])), grouping, prelude, recorded
+
+
+def _replayed(engine, replayer, prelude, recorded, batch_seconds):
+    """After the ``observe`` prelude and after each replay: the returned
+    truths or the error, then the engine's truths and weights."""
+    steps = []
+    if prelude:
+        engine.observe(prelude)
+    for stream in recorded:
+        try:
+            steps.append(list(replayer(engine, stream, batch_seconds).items()))
+        except DataValidationError as error:
+            steps.append(str(error))
+        steps.append((list(engine.truths.items()), list(engine.weights.items())))
+    return steps
+
+
+@given(replays())
+@settings(max_examples=300, deadline=None)
+def test_replay_matches_the_reference_replay(case):
+    decay, batch_seconds, grouping, prelude, recorded = case
+    new = _observed(
+        lambda: _replayed(
+            StreamingTruthDiscovery(decay=decay, grouping=grouping),
+            replay_dataset, prelude, recorded, batch_seconds,
+        )
+    )
+    old = _observed(
+        lambda: _replayed(
+            OracleStreaming(decay=decay, grouping=grouping),
+            oracle_replay, prelude, recorded, batch_seconds,
+        )
+    )
+    _assert_bit_identical(new, old)
+
+
+@given(
+    st.lists(
+        st.tuples(st.sampled_from(ACCOUNTS), st.sampled_from(STAMPS)),
+        unique=True,
+        max_size=20,
+    ),
+    st.randoms(use_true_random=False),
+    st.sampled_from([1.0, 60.0, 600.0]),
+)
+@settings(max_examples=200, deadline=None)
+def test_shuffled_input_replays_bit_identically(pairs, random, batch_seconds):
+    # With no (timestamp, account) pair repeated, the replay order does not
+    # depend on the input order, so neither may any output bit.
+    observations = [
+        Observation(account, TASKS[k % len(TASKS)], float(k) - 7.5, stamp)
+        for k, (account, stamp) in enumerate(pairs)
+    ]
+    shuffled = list(observations)
+    random.shuffle(shuffled)
+
+    def replay(stream):
+        engine = StreamingTruthDiscovery(decay=0.9)
+        truths = replay_dataset(engine, stream, batch_seconds)
+        return list(truths.items()), list(engine.weights.items())
+
+    _assert_bit_identical(_observed(lambda: replay(shuffled)), _observed(lambda: replay(observations)))

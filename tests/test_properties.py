@@ -706,6 +706,32 @@ def test_agts_unclaimed_task_scales_affinities_by_m_over_m_plus_1(case, data):
     assert _as_sets(after) == _as_sets(before)
 
 
+@given(task_sets(), st.data())
+@settings(max_examples=200, deadline=None)
+def test_agts_copied_task_set_joins_its_group_above_rho(case, data):
+    # A copy of account i's task set scores T_ij = |T_i|, L_ij = 0, so
+    # |T_i|^2 / m, against i, and what i scores against everyone else.  It
+    # joins i's group when that score beats rho or i has a neighbour; else
+    # it stays alone.  rho is either half-way between scores or exactly the
+    # copy's score, where the strict comparison must leave the edge out.
+    from repro.core.grouping import TaskSetGrouper
+
+    m, sets = case
+    names = [f"a{k}" for k in range(len(sets))]
+    i = data.draw(st.integers(0, len(sets) - 1))
+    copied = sets + [sets[i]]
+    score = len(sets[i]) ** 2 / m
+    rho = score if data.draw(st.booleans()) else _rho_between_scores(m, copied, data)
+    grouper = TaskSetGrouper(threshold=rho)
+    before = _as_sets(grouper.group(_taskset_dataset(m, sets, names)))
+    after = _as_sets(grouper.group(_taskset_dataset(m, copied, names + ["copy"])))
+    home = next(group for group in before if names[i] in group)
+    if score > rho or len(home) > 1:
+        assert after == (before - {home}) | {home | {"copy"}}
+    else:
+        assert after == before | {frozenset({"copy"})}
+
+
 def _refines(fine, coarse):
     """Every group of ``fine`` lies inside one group of ``coarse``."""
     return fine.accounts == coarse.accounts and all(
